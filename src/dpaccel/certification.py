@@ -249,9 +249,7 @@ def _amplification(p11, p12, p22, c, L):
     den = p22 * c * L + 2.0 * (p11 * p22 - p12**2)
     num = np.asarray(num, dtype=float)
     den = np.asarray(den, dtype=float)
-    out = np.where(num == 0.0, 1.0, 1.0 + np.divide(
-        num, np.where(den != 0.0, den, 1.0), where=den != 0.0
-    ))
+    out = np.where(num == 0.0, 1.0, 1.0 + num / np.where(den != 0.0, den, 1.0))
     out = np.where((num != 0.0) & (den == 0.0), np.inf, out)
     return float(out) if out.ndim == 0 else out
 

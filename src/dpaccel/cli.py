@@ -16,7 +16,7 @@ import numpy as np
 
 from . import budget_allocator as ba
 from . import certification as cert
-from .harness import ExperimentConfig, comparison_table, run_grid, summarize
+from .harness import ExperimentConfig, comparison_table, run_grid, summarize, write_summary
 from .objectives import generate_synthetic
 from .optimizers import Trace
 from .privacy_core import epsilon_of, per_iteration_epsilon, uniform_scale
@@ -205,8 +205,7 @@ def _cmd_summarize(args):
     summary = summarize(paths)
     print(comparison_table(summary))
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(summary, fh, indent=2, default=float)
+        write_summary(summary, args.out)
         print(f"summary written to {args.out}")
     if args.svg:
         svg_dir = Path(args.svg)

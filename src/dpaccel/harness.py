@@ -264,8 +264,7 @@ def run_grid(config: ExperimentConfig, out_dir, workers: int | None = None) -> d
     summary["failed"] = failed
     summary["wall_time"] = time.perf_counter() - started
     summary["config"] = asdict(config)
-    with open(out_dir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, default=float)
+    write_summary(summary, out_dir / "summary.json")
     _write_curve_csvs(out_dir / "curves", summary)
     return summary
 
@@ -275,7 +274,9 @@ def summarize(traces) -> dict:
 
     Traces must share the objective and the budget.  Per cell: the mean and
     standard error of log10 suboptimality at each iteration, plus the plain
-    mean of the final suboptimality.  The comparison table keeps, for each
+    mean of the final suboptimality.  The curves are float64 arrays (about a
+    quarter of the memory of lists of Python floats); write_summary turns
+    them into JSON lists.  The comparison table keeps, for each
     (algorithm, m, c), the best final mean error over T.
     """
     traces = [Trace.from_csv(p) if isinstance(p, (str, Path)) else p for p in traces]
@@ -318,8 +319,8 @@ def summarize(traces) -> dict:
                 "n_seeds": k,
                 "final_mean_error": float(sub[:, -1].mean()),
                 "final_sem": float(sub[:, -1].std(ddof=1) / np.sqrt(k)) if k > 1 else 0.0,
-                "mean_log10": [float(v) for v in logs.mean(axis=0)],
-                "sem_log10": [float(v) for v in sem],
+                "mean_log10": logs.mean(axis=0),
+                "sem_log10": sem,
             }
         )
 
@@ -345,6 +346,18 @@ def summarize(traces) -> dict:
     }
 
 
+def _json_default(obj):
+    # arrays become lists of Python floats; numpy scalars that json cannot
+    # write become floats
+    return obj.tolist() if isinstance(obj, np.ndarray) else float(obj)
+
+
+def write_summary(summary: dict, path) -> None:
+    """Write a summary (from run_grid or summarize) as indented JSON."""
+    with open(path, "w") as fh:
+        json.dump(summary, fh, indent=2, default=_json_default)
+
+
 def _write_curve_csvs(curve_dir: Path, summary: dict) -> None:
     curve_dir.mkdir(parents=True, exist_ok=True)
     for rec in summary["records"]:
@@ -352,7 +365,8 @@ def _write_curve_csvs(curve_dir: Path, summary: dict) -> None:
         with open(curve_dir / f"curve_{name}.csv", "w") as fh:
             fh.write("t,mean_log10_subopt,sem_log10_subopt\n")
             for t, (mean, sem) in enumerate(zip(rec["mean_log10"], rec["sem_log10"])):
-                fh.write(f"{t},{mean!r},{sem!r}\n")
+                # repr of the Python float round-trips; numpy scalar repr does not
+                fh.write(f"{t},{float(mean)!r},{float(sem)!r}\n")
 
 
 def comparison_table(summary: dict) -> str:

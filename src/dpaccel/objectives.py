@@ -2,7 +2,10 @@
 
 Every objective exposes full and minibatch mean gradients, strong-convexity
 and smoothness constants, and (where meaningful) an L1 bound on how much one
-record can move a single per-record gradient.
+record can move a single per-record gradient.  Objective values come in one
+vectorised form, ``values(X)`` over the rows of a (k, d) array; the
+optimizers log suboptimality by evaluating a whole run's iterates in one
+call after the run, and ``value(x)`` is ``values(x[None])[0]``.
 """
 
 from __future__ import annotations
@@ -21,6 +24,12 @@ from .privacy_core import RngStream
 # desk-sized problems converge in a few hundred steps.
 _POWER_MAX_ITER = 100_000
 
+# Elements of the (rows, n) margin block LogisticObjective.values works on:
+# large enough that each block is one GEMM, small enough (512 KiB) that the
+# block and its one temporary stay out of peak memory.  A block holds at
+# least one row, so above n = 2^16 a block is a single row.
+_VALUES_BLOCK = 1 << 16
+
 
 class Objective:
     """Interface shared by all objectives (duck-typed, minimal)."""
@@ -31,6 +40,10 @@ class Objective:
     L: float
 
     def value(self, x: np.ndarray) -> float:
+        return float(self.values(np.asarray(x, dtype=float)[None])[0])
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        """F at each row of the (k, d) array X, as a (k,) array."""
         raise NotImplementedError
 
     def full_gradient(self, x: np.ndarray) -> np.ndarray:
@@ -177,6 +190,7 @@ class LogisticObjective(Objective):
         self.u_max = float(dataset.u_max)
         self.mu = 2.0 * self.lam
         self._L = None
+        self._neg_z = -self.z
 
     @property
     def L(self) -> float:
@@ -188,9 +202,28 @@ class LogisticObjective(Objective):
             self._L = top_eigenvalue(M)
         return self._L
 
-    def value(self, x: np.ndarray) -> float:
-        s = self.z * (self.U @ x)
-        return float(np.mean(np.logaddexp(0.0, -s)) + self.lam * (x @ x))
+    def values(self, X: np.ndarray) -> np.ndarray:
+        """F at each row of X; the loss term is the stable softplus of the margins.
+
+        log(1 + exp(-s)) = max(-s, 0) + log1p(exp(-|s|)), computed in place
+        on blocks of rows of -z * (X U^T).  Each row is summed along its
+        contiguous axis, so numpy adds it pairwise.
+        """
+        X = np.asarray(X, dtype=float)
+        out = np.empty(len(X))
+        rows = max(1, _VALUES_BLOCK // self.n)
+        for lo in range(0, len(X), rows):
+            B = X[lo:lo + rows]
+            S = B @ self.U.T
+            S *= self._neg_z  # -s, the argument of the softplus
+            tail = np.abs(S)
+            np.negative(tail, out=tail)
+            np.exp(tail, out=tail)
+            np.log1p(tail, out=tail)
+            np.maximum(S, 0.0, out=S)
+            S += tail
+            out[lo:lo + rows] = S.sum(axis=1) / self.n
+        return out + self.lam * np.einsum("ij,ij->i", X, X)
 
     def full_gradient(self, x: np.ndarray) -> np.ndarray:
         return self.minibatch_gradient(x, None)
@@ -248,8 +281,9 @@ class QuadraticObjective(Objective):
         self.minimizer = np.linalg.solve(self.Q, -self.q)
         self.fstar = self.value(self.minimizer)
 
-    def value(self, x: np.ndarray) -> float:
-        return float(0.5 * x @ (self.Q @ x) + self.q @ x)
+    def values(self, X: np.ndarray) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        return 0.5 * np.einsum("ij,ij->i", X @ self.Q, X) + X @ self.q
 
     def full_gradient(self, x: np.ndarray) -> np.ndarray:
         return self.Q @ x + self.q

@@ -207,13 +207,17 @@ def uniform_scale(S1: float, epsilon: float, T: int, n: int, m: int) -> NoiseSch
 
 @dataclass
 class PrivacyAccount:
-    """Additive leak ledger for one run against a fixed total budget."""
+    """Additive leak ledger for one run against a fixed total budget.
+
+    Keeps only the running total, so spend and spent are O(1); the total is
+    the sequential float sum of the spends in order.
+    """
 
     epsilon_total: float
     T: int
     n: int
     m: int
-    ledger: list = field(default_factory=list)
+    _spent: float = field(default=0.0, init=False, repr=False)
 
     def __post_init__(self):
         if not np.isfinite(self.epsilon_total) or self.epsilon_total <= 0:
@@ -224,7 +228,7 @@ class PrivacyAccount:
 
     @property
     def spent(self) -> float:
-        return float(sum(self.ledger))
+        return self._spent
 
     @property
     def remaining(self) -> float:
@@ -238,13 +242,13 @@ class PrivacyAccount:
         """
         if not np.isfinite(eps_t) or eps_t < 0:
             raise ValueError(f"leak must be finite and >= 0, got {eps_t}")
-        new_total = self.spent + eps_t
+        new_total = self._spent + float(eps_t)
         if new_total > self.epsilon_total + BUDGET_TOL:
             raise ValueError(
                 f"budget overrun: spending {eps_t:.6g} would bring the total to "
                 f"{new_total:.6g} > {self.epsilon_total:.6g}"
             )
-        self.ledger.append(float(eps_t))
+        self._spent = new_total
         return new_total
 
 

@@ -89,6 +89,32 @@ def test_logistic_value_known_point():
     assert obj.value(x) == pytest.approx(plain + 0.5 * 5.0)
 
 
+@pytest.mark.parametrize("n", [3000, 70_000])
+def test_logistic_values_match_logaddexp_at_large_margins(n):
+    # n = 3000 spreads 50 rows over several blocks; n = 70_000 makes every
+    # block a single row.  Iterate scales up to 100 push |s| to about 10^3.
+    obj = LogisticObjective(generate_synthetic(5, n, 10.0, 1), lam=0.01)
+    rng = np.random.default_rng(0)
+    X = rng.uniform(-1.0, 1.0, (50, 5)) * np.logspace(-2, 2, 50)[:, None]
+    s = obj.z * (X @ obj.U.T)
+    assert np.abs(s).max() > 500.0
+    ref = np.logaddexp(0.0, -s).mean(axis=1) + obj.lam * (X**2).sum(axis=1)
+    got = obj.values(X)
+    assert got.shape == (50,)
+    np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
+
+
+def test_value_is_first_row_of_values():
+    rng = np.random.default_rng(2)
+    Q = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 3.0]])
+    for obj in (small_logistic(d=3), QuadraticObjective(Q, q=np.array([1.0, -2.0, 0.5]))):
+        for _ in range(5):
+            x = rng.normal(size=3) * 10.0
+            got = obj.value(x)
+            assert isinstance(got, float)
+            assert got == obj.values(x[None])[0]
+
+
 def test_logistic_gradient_finite_differences():
     obj = small_logistic()
     rng = np.random.default_rng(0)

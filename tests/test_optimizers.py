@@ -221,6 +221,25 @@ def test_run_deterministic_and_seed_sensitive():
     assert not np.array_equal(a.subopt, c.subopt)
 
 
+def test_subopt_is_values_of_iterates():
+    obj = LogisticObjective(generate_synthetic(4, 300, 5.0, 1), lam=0.05)
+    T, m = 30, 60
+    sched = uniform_scale(obj.sensitivity_bound(), 1.0, T, obj.n, m)
+    hp = HyperParams(alpha=0.5 / obj.L, T=T, m=m, beta=nesterov_momentum(0.5 / obj.L, obj.mu))
+    fstar = 0.25
+    traces = [
+        run("dp-nag", obj, hp, sched, PrivacyAccount(1.0, T, obj.n, m), RngStream(8),
+            np.ones(4), fstar, record_iterates=record)
+        for record in (True, False)
+    ]
+    kept, plain = traces
+    assert kept.iterates.shape == (T + 1, 4)
+    assert plain.iterates is None
+    assert np.array_equal(kept.subopt, obj.values(kept.iterates) - fstar)
+    assert np.array_equal(plain.subopt, kept.subopt)
+    assert np.array_equal(plain.eps_cum, kept.eps_cum)
+
+
 def test_accounting_in_traces():
     data = generate_synthetic(4, 200, 5.0, 0)
     obj = LogisticObjective(data, lam=0.05)

@@ -239,6 +239,20 @@ def test_account_spend_and_overrun():
         acct.spend(1e-6)
 
 
+def test_account_running_total_is_sequential_sum():
+    eps = RngStream(4).uniform(0.0, 2e-4, 10_000)
+    acct = PrivacyAccount(epsilon_total=float(eps.sum()) + 1e-3, T=10_000, n=10, m=10)
+    total = 0.0
+    for e in eps:
+        assert acct.spend(e) == total + e
+        total += e
+    assert acct.spent == total
+    assert acct.remaining == acct.epsilon_total - total
+    with pytest.raises(ValueError, match="budget overrun"):
+        acct.spend(2e-3)
+    assert acct.spent == total
+
+
 def test_account_tolerates_ulp_overshoot():
     acct = PrivacyAccount(epsilon_total=1.0, T=3, n=10, m=10)
     acct.spend(1.0)
