@@ -205,10 +205,11 @@ def _cell_name(algo: str, m: int, T: int, c: float, seed: int | None = None) -> 
 def run_grid(config: ExperimentConfig, out_dir, workers: int | None = None) -> dict:
     """Run the whole grid, write traces and a summary, return the summary.
 
-    A cell that fails to plan or run is recorded under "failed" and skipped.
-    Results are deterministic for a fixed config regardless of the worker
-    count: every run is keyed by (cell, seed) and aggregation follows config
-    order.
+    A cell that fails to plan is recorded under "failed" as {"cell", "error"}
+    and skipped; a run that raises is recorded as {"cell", "seed", "error"},
+    and the summary covers the runs that finished.  Results are
+    deterministic for a fixed config regardless of the worker count: every
+    run is keyed by (cell, seed) and aggregation follows config order.
     """
     out_dir = Path(out_dir)
     traces_dir = out_dir / "traces"
@@ -238,27 +239,34 @@ def run_grid(config: ExperimentConfig, out_dir, workers: int | None = None) -> d
         except (ValueError, RuntimeError) as exc:
             failed.append({"cell": _cell_name(*cell), "error": str(exc)})
 
-    def one(cell, seed) -> Trace:
+    def one(cell, seed):
+        """The run's trace, or the exception that stopped it."""
         algo, m, T, c = cell
         run_algo, hp, sched = plans[cell]
         account = PrivacyAccount(config.epsilon, hp.T, obj.n, hp.m)
-        trace = run(run_algo, obj, hp, sched, account, RngStream(seed), x0, fstar)
+        try:
+            trace = run(run_algo, obj, hp, sched, account, RngStream(seed), x0, fstar)
+        except (ValueError, RuntimeError, ArithmeticError) as exc:
+            # an overspent budget or a numeric failure: recorded, not fatal
+            return exc
         trace.meta["grid"] = {"algorithm": algo, "m": m, "T": T, "c": float(c)}
         trace.meta["objective"] = config.objective_tag
         trace.to_csv(traces_dir / (_cell_name(algo, m, T, c, seed) + ".csv"))
         return trace
 
     tasks = [(cell, seed) for cell in plans for seed in seeds]
-    results = {}
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for task, trace in zip(tasks, pool.map(lambda ts: one(*ts), tasks)):
-                results[task] = trace
+            results = list(pool.map(lambda ts: one(*ts), tasks))
     else:
-        for task in tasks:
-            results[task] = one(*task)
+        results = [one(*task) for task in tasks]
 
-    traces = [results[task] for task in tasks]
+    traces = []
+    for (cell, seed), result in zip(tasks, results):
+        if isinstance(result, Trace):
+            traces.append(result)
+        else:
+            failed.append({"cell": _cell_name(*cell), "seed": seed, "error": str(result)})
     summary = summarize(traces)
     summary["reference"] = {"fstar": fstar, "grad_norm": gnorm}
     summary["failed"] = failed

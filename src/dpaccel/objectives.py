@@ -30,6 +30,15 @@ _POWER_MAX_ITER = 100_000
 # least one row, so above n = 2^16 a block is a single row.
 _VALUES_BLOCK = 1 << 16
 
+# LogisticObjective.values caps |s| here before exp.  exp(-|s|) is subnormal
+# beyond |s| = 708 and zero beyond 745, and there exp and log1p ran 15-70x
+# slower than at |s| <= 700 (65,536 elements: about 90 us against 1.5 to
+# 6.4 ms).  At the cap both stay normal.  A capped term differs from the
+# uncapped one by less than e^-700 ~ 1e-304, which cannot change F: a capped
+# margin needs ||x||_inf >= 700 / u_max, so the ridge term alone keeps F
+# above lam (700 / u_max)^2, where such a difference is far below half an ulp.
+_SOFTPLUS_CAP = 700.0
+
 
 class Objective:
     """Interface shared by all objectives (duck-typed, minimal)."""
@@ -206,8 +215,9 @@ class LogisticObjective(Objective):
         """F at each row of X; the loss term is the stable softplus of the margins.
 
         log(1 + exp(-s)) = max(-s, 0) + log1p(exp(-|s|)), computed in place
-        on blocks of rows of -z * (X U^T).  Each row is summed along its
-        contiguous axis, so numpy adds it pairwise.
+        on blocks of rows of -z * (X U^T), with |s| capped at _SOFTPLUS_CAP.
+        Each row is summed along its contiguous axis, so numpy adds it
+        pairwise.
         """
         X = np.asarray(X, dtype=float)
         out = np.empty(len(X))
@@ -217,6 +227,7 @@ class LogisticObjective(Objective):
             S = B @ self.U.T
             S *= self._neg_z  # -s, the argument of the softplus
             tail = np.abs(S)
+            np.minimum(tail, _SOFTPLUS_CAP, out=tail)
             np.negative(tail, out=tail)
             np.exp(tail, out=tail)
             np.log1p(tail, out=tail)

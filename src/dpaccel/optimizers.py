@@ -32,6 +32,10 @@ from .privacy_core import (
 
 ALGORITHMS = ("dp-gd", "dp-hb", "dp-hb-avg", "dp-nag", "dp-masg")
 
+# Rows Trace.to_csv formats per write: enough to amortise the call, few
+# enough that the chunk's strings add little to peak memory.
+_CSV_CHUNK = 4096
+
 
 def polyak_momentum(mu: float, L: float) -> float:
     """Heavy-ball momentum tuned to the noiseless optimal rate."""
@@ -172,14 +176,21 @@ class Trace:
         return len(self.t) - 1
 
     def to_csv(self, path) -> None:
+        """Write `t,subopt,eps_cum` rows plus a JSON sidecar with the metadata.
+
+        The bytes are those of csv.writer (\\r\\n line ends, repr of each
+        float, which round-trips), formatted a chunk of rows at a time.
+        """
         path = Path(path)
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "subopt", "eps_cum"])
-            for i in range(len(self.t)):
-                writer.writerow(
-                    [int(self.t[i]), repr(float(self.subopt[i])), repr(float(self.eps_cum[i]))]
+            fh.write("t,subopt,eps_cum\r\n")
+            for lo in range(0, len(self.t), _CSV_CHUNK):
+                rows = zip(
+                    self.t[lo:lo + _CSV_CHUNK].tolist(),
+                    self.subopt[lo:lo + _CSV_CHUNK].tolist(),
+                    self.eps_cum[lo:lo + _CSV_CHUNK].tolist(),
                 )
+                fh.write("".join([f"{t},{s!r},{e!r}\r\n" for t, s, e in rows]))
         with open(path.with_name(path.stem + ".meta.json"), "w") as fh:
             json.dump(self.meta, fh, indent=2, default=float)
 
@@ -251,57 +262,61 @@ def run(
     if x.shape != (obj.d,):
         raise ValueError(f"x0 must have shape ({obj.d},), got {x.shape}")
 
+    # The run is a sequence of segments of constant (alpha, beta), each
+    # starting with no momentum (x_{-1} = x_0): one segment for the whole
+    # run, or one per dp-masg stage.
+    beta = 0.0 if algorithm == "dp-gd" else float(hp.beta)
     if algorithm == "dp-masg":
         if hp.stages is None or hp.stages.total != hp.T:
             raise ValueError("dp-masg needs a stage plan covering exactly T iterations")
-        alphas = hp.stages.alpha_per_iteration()
-        betas = np.asarray(nesterov_momentum(alphas, obj.mu))
-        # 0-based first iterations of stages 2, 3, ...
-        restarts = set(np.cumsum(hp.stages.lengths[:-1]).tolist())
+        alphas = hp.stages.alphas
+        segments = zip(hp.stages.lengths, alphas, nesterov_momentum(np.array(alphas), obj.mu))
     else:
-        alphas = np.full(hp.T, hp.alpha)
-        beta = 0.0 if algorithm == "dp-gd" else hp.beta
-        betas = np.full(hp.T, beta)
-        restarts = set()
+        segments = [(hp.T, float(hp.alpha), beta)]
+    lookahead = algorithm in ("dp-nag", "dp-masg")
+    averaged = algorithm == "dp-hb-avg"
+    n, m, d = obj.n, hp.m, obj.d
+    subsampled = m < n
+    subsample, gradient, spend = rng.subsample, obj.minibatch_gradient, account.spend
+    b, eps = schedule.b, schedule.eps
 
     start = time.perf_counter()
-    x_prev = x.copy()
     ubar = np.zeros_like(x)
-    iterates = np.empty((hp.T + 1, obj.d))
+    iterates = np.empty((hp.T + 1, d))
     eps_cum = np.empty(hp.T + 1)
     iterates[0] = x
     eps_cum[0] = 0.0
 
-    for t in range(hp.T):
-        alpha_t, beta_t = alphas[t], betas[t]
-        idx = rng.subsample(obj.n, hp.m) if hp.m < obj.n else None
-        if t in restarts:
-            x_prev = x
-        if algorithm in ("dp-nag", "dp-masg"):
-            point = (1.0 + beta_t) * x - beta_t * x_prev
-        else:
-            point = x
-        g = obj.minibatch_gradient(point, idx)
-        if schedule.b[t] > 0:
-            g = g + laplace_sample(rng, schedule.b[t], obj.d)
-        account.spend(schedule.eps[t])
+    first = 0
+    for length, alpha_s, beta_s in segments:
+        x_prev = x
+        one_plus, one_minus = 1.0 + beta_s, 1.0 - beta_s
+        avg_step = alpha_s / one_minus
+        for t in range(first, first + length):
+            idx = subsample(n, m) if subsampled else None
+            point = one_plus * x - beta_s * x_prev if lookahead else x
+            g = gradient(point, idx)
+            b_t = b[t]
+            if b_t > 0:
+                g = g + laplace_sample(rng, b_t, d)
+            eps_cum[t + 1] = spend(eps[t])
 
-        if algorithm in ("dp-gd", "dp-hb"):
-            x_new = x - alpha_t * g + beta_t * (x - x_prev)
-        elif algorithm == "dp-hb-avg":
-            ubar = beta_t * ubar + (1.0 - beta_t) * g
-            x_new = x - (alpha_t / (1.0 - beta_t)) * ubar
-        else:
-            x_new = point - alpha_t * g
-        x_prev, x = x, x_new
-        iterates[t + 1] = x
-        eps_cum[t + 1] = account.spent
+            if averaged:
+                ubar = beta_s * ubar + one_minus * g
+                x_new = x - avg_step * ubar
+            elif lookahead:
+                x_new = point - alpha_s * g
+            else:
+                x_new = x - alpha_s * g + beta_s * (x - x_prev)
+            x_prev, x = x, x_new
+            iterates[t + 1] = x
+        first += length
 
     subopt = obj.values(iterates) - fstar
     meta = {
         "algorithm": algorithm,
         "alpha": None if hp.stages is not None else hp.alpha,
-        "beta": None if hp.stages is not None else float(betas[0]) if hp.T else hp.beta,
+        "beta": None if hp.stages is not None else beta if hp.T else hp.beta,
         "stages": None
         if hp.stages is None
         else {"lengths": list(hp.stages.lengths), "alphas": list(hp.stages.alphas)},

@@ -13,6 +13,7 @@ without replaying the stream.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,10 +31,15 @@ BUDGET_TOL = 1e-9
 class RngStream:
     """Deterministic stream of random draws addressed by (seed, counter).
 
-    Each draw builds a fresh Philox generator whose 256-bit counter block is
+    Each draw comes from a Philox generator whose 256-bit counter block is
     the index of the draw, then advances the index.  Two streams with the
     same seed produce identical draw sequences; a single draw is recoverable
     from its index alone.
+
+    A stream builds one Philox bit generator and one Generator, and before
+    each draw sets the bit generator's whole state to (seed, counter) with
+    an empty output buffer, which gives the draws of a freshly built
+    generator at that counter.  A stream belongs to one thread.
     """
 
     def __init__(self, seed: int, counter: int = 0):
@@ -41,26 +47,39 @@ class RngStream:
             raise ValueError(f"seed must be an integer, got {type(seed).__name__}")
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
         self.counter = int(counter)
+        self._bitgen = np.random.Philox(key=self.seed)
+        self._gen = np.random.Generator(self._bitgen)
+        self._block = np.zeros(4, dtype=np.uint64)
+        # the state setter copies every field, so one dict serves every draw
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": self._block, "key": self._bitgen.state["state"]["key"]},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
-    def next_generator(self) -> np.random.Generator:
-        """Return a generator for the current counter and advance it."""
-        block = np.array([0, 0, 0, self.counter], dtype=np.uint64)
-        gen = np.random.Generator(np.random.Philox(key=self.seed, counter=block))
+    def _generator(self) -> np.random.Generator:
+        """The stream's generator positioned at the current counter, which
+        then advances.  It is valid only until the next draw repositions it."""
+        self._block[3] = self.counter
+        self._bitgen.state = self._state
         self.counter += 1
-        return gen
+        return self._gen
 
     def random(self, size=None):
         """Uniform draws on [0, 1) consuming one counter slot."""
-        return self.next_generator().random(size)
+        return self._generator().random(size)
 
     def uniform(self, low: float, high: float, size=None):
-        return self.next_generator().uniform(low, high, size)
+        return self._generator().uniform(low, high, size)
 
     def subsample(self, n: int, m: int) -> np.ndarray:
         """Uniform subsample of m distinct indices from range(n)."""
         if not 1 <= m <= n:
             raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
-        return self.next_generator().choice(n, size=m, replace=False)
+        return self._generator().choice(n, size=m, replace=False)
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, counter={self.counter})"
@@ -77,14 +96,24 @@ def laplace_sample(rng: RngStream, b: float, d: int) -> np.ndarray:
     Returns:
       Array of shape (d,).
     """
-    if not np.isfinite(b) or b <= 0:
+    if not math.isfinite(b) or b <= 0:
         raise ValueError(f"Laplace scale must be positive and finite, got {b}")
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    u = rng.random(int(d)) - 0.5
+    # -b * sign(u) * log1p(-2|u|) with u = U - 1/2, in place on the draw;
+    # negating, the sign factor and the factor 2 are exact, so the bits are
+    # those of the out-of-place formula.
+    u = rng.random(int(d))
+    u -= 0.5
     # u = -0.5 would hit log(0); remap that single lattice point.
-    u = np.where(u == -0.5, 0.0, u)
-    return -b * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+    u[u == -0.5] = 0.0
+    out = np.sign(u)
+    out *= -b
+    np.abs(u, out=u)
+    u *= -2.0
+    np.log1p(u, out=u)
+    out *= u
+    return out
 
 
 def epsilon_of(S: float, b: float, n: int, m: int) -> float:
@@ -240,9 +269,10 @@ class PrivacyAccount:
         Rejects negative or non-finite spends, and spends that would push
         the total above the budget by more than BUDGET_TOL.
         """
-        if not np.isfinite(eps_t) or eps_t < 0:
+        eps_t = float(eps_t)
+        if not math.isfinite(eps_t) or eps_t < 0:
             raise ValueError(f"leak must be finite and >= 0, got {eps_t}")
-        new_total = self._spent + float(eps_t)
+        new_total = self._spent + eps_t
         if new_total > self.epsilon_total + BUDGET_TOL:
             raise ValueError(
                 f"budget overrun: spending {eps_t:.6g} would bring the total to "

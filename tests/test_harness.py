@@ -275,6 +275,26 @@ def test_run_grid_records_failed_cells(tmp_path, monkeypatch):
     assert {r["algorithm"] for r in summary["records"]} == {"dp-gd"}
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_grid_records_failed_runs(tmp_path, monkeypatch, workers):
+    real = harness.run
+    cfg = tiny_config(algorithms=("dp-gd", "dp-hb"), m_values=(40,), T_values=(5,),
+                      replicates=3)
+    bad = cfg.seed_list[1]
+
+    def flaky(algo, obj, hp, sched, account, rng, *args, **kwargs):
+        if algo == "dp-hb" and rng.seed == bad:
+            raise FloatingPointError("diverged")
+        return real(algo, obj, hp, sched, account, rng, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run", flaky)
+    summary = run_grid(cfg, tmp_path / "out", workers=workers)
+    assert summary["failed"] == [{"cell": "dp-hb_40_5_0.5", "seed": bad, "error": "diverged"}]
+    seeds = {r["algorithm"]: r["n_seeds"] for r in summary["records"]}
+    assert seeds == {"dp-gd": 3, "dp-hb": 2}
+    assert len(list((tmp_path / "out" / "traces").glob("*.csv"))) == 5
+
+
 # ---------------------------------------------------------------------------
 # summarize
 

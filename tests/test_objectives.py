@@ -104,6 +104,35 @@ def test_logistic_values_match_logaddexp_at_large_margins(n):
     np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
 
 
+def uncapped_values(obj, X):
+    """F by the stable softplus with no cap on |s|, each row summed pairwise."""
+    s = obj.z * (X @ obj.U.T)
+    with np.errstate(under="ignore"):
+        loss = np.maximum(-s, 0.0) + np.log1p(np.exp(-np.abs(s)))
+    return loss.sum(axis=1) / obj.n + obj.lam * np.einsum("ij,ij->i", X, X)
+
+
+def test_logistic_values_exact_at_underflowing_margins():
+    # Margins of both signs reach |s| from 700 to 10^4, where exp(-|s|) is
+    # subnormal or zero.  values caps |s| before exp; F must keep every bit.
+    obj = LogisticObjective(generate_synthetic(5, 3000, 10.0, 4), lam=0.01)
+    rng = np.random.default_rng(5)
+    X = rng.choice([-1.0, 1.0], (40, 5)) * np.logspace(np.log10(150.0), 3.0, 40)[:, None]
+    s = obj.z * (X @ obj.U.T)
+    big = np.abs(s) >= 700.0
+    assert (s[big] > 745.0).any() and (s[big] < -745.0).any()
+    assert big.mean() > 0.3 and np.abs(s).max() > 9e3
+    assert np.array_equal(obj.values(X), uncapped_values(obj, X))
+
+    # Separable labels and a tiny ridge: every margin is positive and F is
+    # 0.01 to 0.08, so a cap as low as 40 would already move F by ulps.
+    data = generate_synthetic(5, 3000, 10.0, 4)
+    z = np.sign(data.U @ data.x_true)
+    obj = LogisticObjective(Dataset(U=data.U, z=z, u_max=10.0), lam=1e-6)
+    X = np.outer(np.linspace(2.0, 40.0, 20), data.x_true)
+    assert np.array_equal(obj.values(X), uncapped_values(obj, X))
+
+
 def test_value_is_first_row_of_values():
     rng = np.random.default_rng(2)
     Q = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 3.0]])

@@ -1,8 +1,12 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
 from dpaccel.objectives import LogisticObjective, QuadraticObjective, generate_synthetic
 from dpaccel.optimizers import (
+    _CSV_CHUNK,
     ALGORITHMS,
     HyperParams,
     StageSchedule,
@@ -326,6 +330,30 @@ def test_trace_csv_roundtrip(tmp_path):
     assert back.final_subopt == trace.subopt[-1]
     with pytest.raises(ValueError):
         Trace.from_csv(__file__)
+
+
+def test_trace_csv_bytes_match_csv_writer(tmp_path):
+    # longer than one chunk of the writer, with awkward floats
+    rows = 2 * _CSV_CHUNK + 17
+    subopt = RngStream(3).random(rows) * np.logspace(-300, 300, rows)
+    subopt[:6] = [0.0, -0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2, np.inf]
+    eps_cum = np.cumsum(RngStream(4).random(rows) * 1e-4)
+    trace = Trace(t=np.arange(rows), subopt=subopt, eps_cum=eps_cum, meta={"algorithm": "x"})
+    path = tmp_path / "tr.csv"
+    trace.to_csv(path)
+
+    ref = io.StringIO(newline="")
+    writer = csv.writer(ref)
+    writer.writerow(["t", "subopt", "eps_cum"])
+    for i in range(rows):
+        writer.writerow([int(trace.t[i]), repr(float(subopt[i])), repr(float(eps_cum[i]))])
+    assert path.read_bytes() == ref.getvalue().encode()
+
+    back = Trace.from_csv(path)
+    assert np.array_equal(back.t, trace.t)
+    assert back.subopt.tobytes() == subopt.tobytes()
+    assert back.eps_cum.tobytes() == eps_cum.tobytes()
+    assert back.meta == trace.meta
 
 
 def test_algorithm_registry():

@@ -63,6 +63,61 @@ def test_stream_counter_addressing():
     assert np.array_equal(RngStream(9).random(4), first)
 
 
+def fresh_philox(seed, k):
+    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, k]))
+
+
+@pytest.mark.parametrize("seed", [0, 9, 2**63 + 12345])
+def test_stream_draws_equal_fresh_philox(seed):
+    """A stream repositions one reused generator before each draw; every draw
+    must equal that of a generator built fresh at (seed, counter)."""
+    s = RngStream(seed)
+    for k in (0, 1, 2, 1000, 2**32 - 1, 2**32, 2**40 + 3):
+        for size in (*range(1, 10), 1000):
+            s.counter = k
+            assert np.array_equal(s.random(size), fresh_philox(seed, k).random(size))
+            s.counter = k
+            assert np.array_equal(s.uniform(-2.0, 3.0, size),
+                                  fresh_philox(seed, k).uniform(-2.0, 3.0, size))
+            s.counter = k
+            assert np.array_equal(s.subsample(5000, size),
+                                  fresh_philox(seed, k).choice(5000, size=size, replace=False))
+            assert s.counter == k + 1
+
+
+def test_stream_started_at_counter_matches_kth_draw():
+    s = RngStream(31)
+    for k in range(40):
+        size = 1 + k % 9
+        if k % 3:
+            draw = s.random(size)
+            assert np.array_equal(RngStream(31, counter=k).random(size), draw)
+        else:
+            draw = s.subsample(300, size)
+            assert np.array_equal(RngStream(31, counter=k).subsample(300, size), draw)
+
+
+class _FixedUniforms:
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size):
+        assert size == len(self.u)
+        return self.u.copy()
+
+
+@pytest.mark.parametrize("b", [0.37, 1.0, 2.5e3])
+def test_laplace_sample_equals_out_of_place_formula(b):
+    # includes the draw 0.0 (u = -0.5, remapped to 0) and both signs
+    draws = np.concatenate([[0.0, 0.25, 0.5, 0.75, 1.0 - 2**-53], RngStream(2).random(200)])
+    u = draws - 0.5
+    u = np.where(u == -0.5, 0.0, u)
+    ref = -b * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+    got = laplace_sample(_FixedUniforms(draws), b, len(draws))
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
+    assert np.array_equal(got, ref)
+
+
 def test_stream_subsample():
     s = RngStream(5)
     idx = s.subsample(100, 30)
