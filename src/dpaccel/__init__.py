@@ -47,7 +47,6 @@ from .objectives import (
     Objective,
     QuadraticObjective,
     generate_synthetic,
-    sensitivity_bound,
     top_eigenvalue,
 )
 from .optimizers import (

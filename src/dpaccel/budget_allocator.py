@@ -78,15 +78,21 @@ def masg_coefficients(stages: StageSchedule, mu: float, L: float) -> BoundCoeffi
     """
     for alpha in stages.alphas:
         _check_mu_L_alpha(mu, L, alpha)
-    T = stages.total
-    alpha_it = stages.alpha_per_iteration()
-    stage_it = stages.stage_per_iteration()
-    q_it = 1.0 - np.sqrt(mu * alpha_it)
+    lengths = stages.lengths
+    alphas = np.array(stages.alphas)
+    s_T = stages.stages
+    # Per-stage factors, repeated over each stage's iterations.  Products
+    # are taken in the order of the per-iteration formula above, so every
+    # weight is the same float whichever way it is built.
+    q_it = (1.0 - np.sqrt(mu * alphas)).repeat(lengths)
     # suffix[t] = prod_{i=t+1..T} q_i, t = 0..T
-    suffix = np.ones(T + 1)
-    suffix[:-1] = np.cumprod(q_it[::-1])[::-1]
-    s_T = stage_it[-1]
-    a = 2.0 ** (s_T - stage_it) * suffix[1:] * alpha_it * (1.0 + alpha_it * L)
+    suffix = np.empty(len(q_it) + 1)
+    suffix[-1] = 1.0
+    np.cumprod(q_it[::-1], out=suffix[-2::-1])
+    a = (2.0 ** np.arange(s_T - 1, -1, -1.0)).repeat(lengths)
+    a *= suffix[1:]
+    a *= alphas.repeat(lengths)
+    a *= (1.0 + alphas * L).repeat(lengths)
     a0 = 2.0 ** (s_T - 1) * suffix[0]
     return BoundCoefficients(a0=a0, a=a, kind="masg", stages=stages)
 
@@ -118,8 +124,13 @@ def optimized_bound_value(
     """
     _check_budget_args(S1, n, epsilon)
     _check_bound_args(d, E0)
+    return _optimized_bound(coeffs, E0, d * S1**2 / (n * epsilon) ** 2)
+
+
+def _optimized_bound(coeffs: BoundCoefficients, E0: float, noise: float) -> float:
+    """optimized_bound_value without its checks; noise = d * S1^2 / (n eps)^2."""
     cube = float(np.sum(coeffs.a ** (1.0 / 3.0))) ** 3
-    return float(coeffs.a0 * E0 + d * S1**2 / (n * epsilon) ** 2 * cube)
+    return float(coeffs.a0 * E0 + noise * cube)
 
 
 def optimal_schedule(
@@ -233,9 +244,10 @@ def select_horizon(
         raise ValueError(f"need T_max >= 1, got {T_max}")
     _check_budget_args(S1, n, epsilon)
     _check_bound_args(d, E0)
-    bounds = np.array(
-        [optimized_bound_value(builder(Tp), S1, n, epsilon, d, E0) for Tp in range(1, T_max + 1)]
-    )
+    noise = d * S1**2 / (n * epsilon) ** 2
+    bounds = np.empty(T_max)
+    for Tp in range(1, T_max + 1):
+        bounds[Tp - 1] = _optimized_bound(builder(Tp), E0, noise)
     best = int(np.argmin(bounds))
     return best + 1, float(bounds[best])
 

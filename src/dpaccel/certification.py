@@ -9,6 +9,21 @@ scales with the per-iteration noise level.
 
 All 3x3 eigenvalues use an explicit symmetric closed form with a cyclic
 Jacobi fallback near the degenerate (repeated-root) regime.
+
+The search skips the eigen-solve for a candidate with a diagonal entry
+below -tol - delta, and this cannot change its answer.  A symmetric
+matrix's smallest eigenvalue is at most each of its diagonal entries
+(interlacing), so such a candidate's exact smallest eigenvalue is below
+-tol - delta too.  delta = _PRUNE_MARGIN * max(1, S), with S the largest
+|entry| of any candidate at any grid rate, bounds the closed form's
+absolute error: outside the Jacobi regime arccos amplifies the few-ulp
+rounding of its argument at most 1/sqrt(_DEGENERATE_DISC) = 1e7 times,
+about 1e-8 of the matrix scale (measured: at most 2.8e-9 of
+max(1, largest |entry|) on 2e6 nearly degenerate random matrices), and
+_PRUNE_MARGIN ~ 9.5e-7 is far above both.  The computed eigenvalue of a
+skipped candidate is therefore below -tol, and the unpruned search
+rejects it as well.  The survivors' eigenvalues are computed elementwise
+by the same code, so they are bitwise those of the unpruned search.
 """
 
 from __future__ import annotations
@@ -20,6 +35,9 @@ import numpy as np
 # Below this relative discriminant the trigonometric closed form loses
 # accuracy (nearly repeated roots) and Jacobi iteration takes over.
 _DEGENERATE_DISC = 1e-14
+# Bound on the closed form's absolute error in the smallest eigenvalue, as
+# a multiple of max(1, largest |entry|); see the module docstring.
+_PRUNE_MARGIN = 2.0**-20
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +322,7 @@ def search_certificate(
     )
 
     shape_P = (len(p11), 1, 1)
+    kP = np.arange(len(p11)).reshape(shape_P)
     c0v = grid.c0.reshape(1, -1, 1)
     cv = grid.c.reshape(1, 1, -1)
     zero_P = (p11 == 0.0) & (p12 == 0.0) & (p22 == 0.0)
@@ -314,32 +333,59 @@ def search_certificate(
     if vacuous.all():
         # nothing informative anywhere: degrade to plain feasibility
         vacuous = np.zeros_like(vacuous)
-    for rho in np.sort(grid.rho):
-        r2 = rho * rho
+
+    def diagonal(r2):
+        """m11 over the whole grid and m22 over (P, c), at rate^2 r2."""
         m11 = c0v * (2 * mu * L) + cv * (x1["m11"] + (1 - r2) * 0.5 * mu) - (
             f11 - r2 * p11
         ).reshape(shape_P)
-        m12 = cv * x1["m12"] - (f12 - r2 * p12).reshape(shape_P)
-        m13 = c0v * (-(mu + L)) + cv * (x1["m13"] + (1 - r2) * -0.5) - f13.reshape(shape_P)
         m22 = cv * x1["m22"] - (f22 - r2 * p22).reshape(shape_P)
-        m23 = cv * x1["m23"] - f23.reshape(shape_P)
-        m33 = c0v * 2.0 + cv * x1["m33"] - f33.reshape(shape_P)
-        lo, _, _ = _sym3_eigvals_parts(m11, m12, m13, m22, m23, m33)
-        feasible = lo >= -tol
-        informative = feasible & ~vacuous
+        return m11, m22
+
+    def off_diagonal(r2, c0, c, k):
+        """m12 and m13 at rate^2 r2 for multipliers c0, c and P candidates k."""
+        m12 = c * x1["m12"] - (f12[k] - r2 * p12[k])
+        m13 = c0 * (-(mu + L)) + c * (x1["m13"] + (1 - r2) * -0.5) - f13[k]
+        return m12, m13
+
+    # rate-invariant entries: m23 over (P, c), m33 over the whole grid
+    m23 = cv * x1["m23"] - f23.reshape(shape_P)
+    m33 = c0v * 2.0 + cv * x1["m33"] - f33.reshape(shape_P)
+    # Largest |entry| anywhere: each entry is affine in rho^2, so its
+    # extremes over the grid sit at the smallest and the largest rate.
+    rhos = np.sort(grid.rho)
+    entry_max = max(
+        np.abs(m).max()
+        for r2 in rhos[[0, -1]] ** 2
+        for m in (m23, m33, *diagonal(r2), *off_diagonal(r2, c0v, cv, kP))
+    )
+    cut = -tol - _PRUNE_MARGIN * max(entry_max, 1.0)
+    keep33 = m33 >= cut
+    for rho in rhos:
+        r2 = rho * rho
+        m11, m22 = diagonal(r2)
+        # candidates no diagonal entry rules out, in grid order
+        iP, ic0, ic = np.nonzero(keep33 & (m11 >= cut) & (m22 >= cut))
+        if len(iP) == 0:
+            continue
+        m12, m13 = off_diagonal(r2, grid.c0[ic0], grid.c[ic], iP)
+        lo, _, _ = _sym3_eigvals_parts(
+            m11[iP, ic0, ic], m12, m13, m22[iP, 0, ic], m23[iP, 0, ic], m33[iP, ic0, ic]
+        )
+        informative = (lo >= -tol) & ~vacuous[iP, ic0, ic]
         if not np.any(informative):
             continue
-        iP, ic0, ic = np.nonzero(informative)
+        iP, ic0, ic, lo = iP[informative], ic0[informative], ic[informative], lo[informative]
         amp = _amplification(p11[iP], p12[iP], p22[iP], grid.c[ic], L)
         k = int(np.argmin(amp))  # first index on ties: deterministic grid order
-        sel_P, sel_c0, sel_c = iP[k], ic0[k], ic[k]
+        sel_P = iP[k]
         P = np.array([[p11[sel_P], p12[sel_P]], [p12[sel_P], p22[sel_P]]])
         return Certificate(
             rho=float(rho),
             P=P,
-            c0=float(grid.c0[sel_c0]),
-            c=float(grid.c[sel_c]),
-            slack=float(lo[sel_P, sel_c0, sel_c]),
+            c0=float(grid.c0[ic0[k]]),
+            c=float(grid.c[ic[k]]),
+            slack=float(lo[k]),
             noise_amplification=float(amp[k]),
         )
     return None

@@ -207,7 +207,8 @@ def run_grid(config: ExperimentConfig, out_dir, workers: int | None = None) -> d
 
     A cell that fails to plan is recorded under "failed" as {"cell", "error"}
     and skipped; a run that raises is recorded as {"cell", "seed", "error"},
-    and the summary covers the runs that finished.  Results are
+    and the summary covers the runs that finished (no records, when none
+    did; summary.json is written either way).  Results are
     deterministic for a fixed config regardless of the worker count: every
     run is keyed by (cell, seed) and aggregation follows config order.
     """
@@ -267,7 +268,15 @@ def run_grid(config: ExperimentConfig, out_dir, workers: int | None = None) -> d
             traces.append(result)
         else:
             failed.append({"cell": _cell_name(*cell), "seed": seed, "error": str(result)})
-    summary = summarize(traces)
+    if traces:
+        summary = summarize(traces)
+    else:  # every plan or every run failed: keep the failures on record
+        summary = {
+            "objective": config.objective_tag,
+            "epsilon": config.epsilon,
+            "records": [],
+            "comparison": {},
+        }
     summary["reference"] = {"fstar": fstar, "grad_norm": gnorm}
     summary["failed"] = failed
     summary["wall_time"] = time.perf_counter() - started

@@ -67,10 +67,6 @@ class Objective:
         raise NotImplementedError
 
 
-def sensitivity_bound(obj: Objective) -> float:
-    return obj.sensitivity_bound()
-
-
 @dataclass
 class Dataset:
     """Binary-labelled covariate matrix with bounded per-row L1 norm."""

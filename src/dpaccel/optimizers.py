@@ -127,11 +127,13 @@ def masg_stage_schedule(mu: float, L: float, c: float, p: int, T: int) -> StageS
     unit = max(unit, 1)
     lengths = [min(unit, T)]
     alphas = [c / L]
+    total = lengths[0]
     k = 2
-    while sum(lengths) < T:
-        length = min(2**k * unit, T - sum(lengths))
+    while total < T:
+        length = min(2**k * unit, T - total)
         lengths.append(length)
         alphas.append(c / (2 ** (2 * k) * L))
+        total += length
         k += 1
     return StageSchedule(lengths=tuple(lengths), alphas=tuple(alphas))
 

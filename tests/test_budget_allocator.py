@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dpaccel.budget_allocator import (
     BoundCoefficients,
@@ -83,6 +85,77 @@ def test_masg_coefficients_match_slow_formula():
         assert co.a[t - 1] == pytest.approx(want, rel=1e-12)
     prod_all = np.prod([1 - np.sqrt(mu * a) for a in alphas])
     assert co.a0 == pytest.approx(2.0 ** (s_T - 1) * prod_all, rel=1e-12)
+
+
+def slow_masg_weights(stages, mu, L):
+    """a0 and a_t of masg_coefficients, one iteration at a time; each
+    suffix product is accumulated from i = T down to i = t + 1."""
+    T = stages.total
+    s_T = stages.stage_of(T)
+    alphas = [stages.alphas[stages.stage_of(i) - 1] for i in range(1, T + 1)]
+    q = [1 - np.sqrt(mu * alpha) for alpha in alphas]
+    a = []
+    for t in range(1, T + 1):
+        prod = 1.0
+        for i in range(T, t, -1):
+            prod *= q[i - 1]
+        s_t = stages.stage_of(t)
+        a.append(2.0 ** (s_T - s_t) * prod * alphas[t - 1] * (1 + alphas[t - 1] * L))
+    prod = 1.0
+    for i in range(T, 0, -1):
+        prod *= q[i - 1]
+    return 2.0 ** (s_T - 1) * prod, np.array(a)
+
+
+# mu/L in [0.005, 0.9] and c in [0.05, 1] keep every stage's alpha within
+# 1/L and mu * alpha below 1
+masg_inputs = st.tuples(
+    st.floats(0.005, 0.9),
+    st.floats(0.5, 2.0),
+    st.floats(0.05, 1.0),
+    st.integers(0, 3),
+    st.integers(1, 300),
+)
+
+
+@given(masg_inputs)
+def test_masg_coefficients_bitwise_equal_slow_formula(inputs):
+    ratio, L, c, p, T = inputs
+    mu = ratio * L
+    stages = masg_stage_schedule(mu, L, c, p, T)
+    co = masg_coefficients(stages, mu, L)
+    a0, a = slow_masg_weights(stages, mu, L)
+    assert co.a.tobytes() == a.tobytes()
+    assert co.a0 == a0
+
+
+@given(
+    masg_inputs,
+    st.sampled_from(["nag", "masg"]),
+    st.floats(0.0, 100.0),
+    st.floats(0.1, 50.0),
+    st.integers(100, 10**6),
+    st.floats(0.1, 5.0),
+    st.integers(1, 50),
+)
+def test_select_horizon_bounds_equal_optimized_bound_value(inputs, scheme, E0, S1, n, eps, d):
+    ratio, L, c, p, T_max = inputs
+    mu = ratio * L
+    built = []
+
+    def builder(Tp):
+        if scheme == "nag":
+            co = nag_coefficients(mu, L, c / L, Tp)
+        else:
+            co = masg_coefficients_for(mu, L, c, p, Tp)
+        built.append((Tp, co))
+        return co
+
+    T, bound = select_horizon(builder, E0, S1, n, eps, d, T_max)
+    assert [Tp for Tp, _ in built] == list(range(1, T_max + 1))
+    want = [optimized_bound_value(co, S1, n, eps, d, E0) for _, co in built]
+    best = int(np.argmin(want))
+    assert (T, bound) == (best + 1, want[best])
 
 
 def test_masg_single_stage_equals_nag():

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from dpaccel.certification import (
     Certificate,
@@ -18,6 +20,7 @@ from dpaccel.certification import (
     search_certificate,
     sym3_eigvals,
 )
+from dpaccel.certification import _amplification, _sym3_eigvals_parts
 
 # np.linalg.eigvalsh serves as the independent eigenvalue oracle throughout;
 # the library itself never calls it on the 3x3 certificate matrices.
@@ -316,6 +319,83 @@ def test_search_validation():
     )
     with pytest.raises(ValueError):
         search_certificate(1.0, 0.0, 0.5, 1.0, grid=g)
+
+
+def unpruned_search(alpha, beta, mu, L, grid, tol=1e-9):
+    """search_certificate as a full scan: the eigenvalues of every candidate
+    at every rate, with no candidate skipped; returns as_dict() or None."""
+    p11, p12, p22 = (
+        v.ravel() for v in np.meshgrid(grid.p11, grid.p12, grid.p22, indexing="ij")
+    )
+    psd = (p11 >= 0) & (p22 >= 0) & (p11 * p22 - p12**2 >= 0)
+    p11, p12, p22 = p11[psd], p12[psd], p22[psd]
+    a, bb = 1.0 + beta, -beta
+    f11 = a * a * p11 + 2.0 * a * p12 + p22
+    f12 = a * bb * p11 + bb * p12
+    f22 = bb * bb * p11
+    f13 = alpha * (a * p11 + p12)
+    f23 = alpha * bb * p11
+    f33 = alpha * alpha * p11
+    g = (1.0 - L * alpha) * beta
+    x11, x12, x13 = -0.5 * L * beta**2, 0.5 * L * beta**2, -0.5 * g
+    x22, x23, x33 = -0.5 * L * beta**2, 0.5 * g, 0.5 * alpha * (2.0 - L * alpha)
+    P3 = (len(p11), 1, 1)
+    c0 = grid.c0.reshape(1, -1, 1)
+    c = grid.c.reshape(1, 1, -1)
+    shape = (len(p11), len(grid.c0), len(grid.c))
+    zero_P = (p11 == 0.0) & (p12 == 0.0) & (p22 == 0.0)
+    vacuous = np.broadcast_to(zero_P[:, None, None] & (grid.c == 0.0)[None, None, :], shape)
+    if vacuous.all():
+        vacuous = np.zeros(shape, dtype=bool)
+    for rho in np.sort(grid.rho):
+        r2 = rho * rho
+        m11 = c0 * (2 * mu * L) + c * (x11 + (1 - r2) * 0.5 * mu) - (f11 - r2 * p11).reshape(P3)
+        m12 = c * x12 - (f12 - r2 * p12).reshape(P3)
+        m13 = c0 * (-(mu + L)) + c * (x13 + (1 - r2) * -0.5) - f13.reshape(P3)
+        m22 = c * x22 - (f22 - r2 * p22).reshape(P3)
+        m23 = c * x23 - f23.reshape(P3)
+        m33 = c0 * 2.0 + c * x33 - f33.reshape(P3)
+        lo, _, _ = _sym3_eigvals_parts(m11, m12, m13, m22, m23, m33)
+        iP, ic0, ic = np.nonzero((lo >= -tol) & ~vacuous)
+        if len(iP) == 0:
+            continue
+        amp = _amplification(p11[iP], p12[iP], p22[iP], grid.c[ic], L)
+        k = int(np.argmin(amp))
+        P = np.array([[p11[iP[k]], p12[iP[k]]], [p12[iP[k]], p22[iP[k]]]])
+        return Certificate(
+            rho=float(rho), P=P, c0=float(grid.c0[ic0[k]]), c=float(grid.c[ic[k]]),
+            slack=float(lo[iP[k], ic0[k], ic[k]]), noise_amplification=float(amp[k]),
+        ).as_dict()
+    return None
+
+
+SMALL_GRID = CertificateGrid(
+    rho=np.array([0.3, 0.6, 0.8, 0.9, 0.95, 0.99, 0.999]),
+    p11=np.array([0.0, 0.1, 1.0, 10.0]), p12=np.array([0.0, 0.5, -0.5, 3.0]),
+    p22=np.array([0.0, 1.0, 3.0]), c0=np.array([0.0, 1.0, 10.0]), c=np.array([0.0, 0.5, 5.0]),
+)
+
+# L, alpha*L in (0, 2), beta in [0, 0.99), mu/L in (0.005, 1]; alpha*L
+# stays above 1e-4, so that alpha/L cannot underflow to 0
+search_inputs = st.tuples(
+    st.floats(0.5, 2.0),
+    st.floats(1e-4, 2.0, exclude_max=True),
+    st.floats(0.0, 0.99, exclude_max=True),
+    st.floats(0.005, 1.0, exclude_min=True),
+)
+
+
+@given(search_inputs, st.sampled_from(["default", "small"]))
+@example((1.0, 1.0, 0.0, 0.5), "default")  # certifies at rho = 0.71
+@example((1.0, 0.5, 0.8, 0.05), "default")  # no certificate: a full scan
+@example((1.0, 1.0, 0.0, 0.5), "small")
+def test_search_equals_unpruned_scan(inputs, which):
+    L, alpha_L, beta, ratio = inputs
+    alpha, mu = alpha_L / L, ratio * L
+    grid = CertificateGrid.default() if which == "default" else SMALL_GRID
+    cert = search_certificate(alpha, beta, mu, L, grid)
+    want = unpruned_search(alpha, beta, mu, L, grid)
+    assert repr(None if cert is None else cert.as_dict()) == repr(want)
 
 
 # ---------------------------------------------------------------------------

@@ -295,6 +295,34 @@ def test_run_grid_records_failed_runs(tmp_path, monkeypatch, workers):
     assert len(list((tmp_path / "out" / "traces").glob("*.csv"))) == 5
 
 
+@pytest.mark.parametrize("stage", ["plan_cell", "run"])
+def test_run_grid_keeps_failures_when_nothing_finishes(tmp_path, monkeypatch, stage):
+    def fail(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(harness, stage, fail)
+    cfg = tiny_config(algorithms=("dp-gd", "dp-hb"), m_values=(40,), T_values=(5,))
+    out = tmp_path / "out"
+    summary = run_grid(cfg, out)
+    if stage == "plan_cell":
+        want = [{"cell": f"{a}_40_5_0.5", "error": "boom"} for a in cfg.algorithms]
+    else:
+        want = [
+            {"cell": f"{a}_40_5_0.5", "seed": seed, "error": "boom"}
+            for a in cfg.algorithms
+            for seed in cfg.seed_list
+        ]
+    assert summary["failed"] == want
+    assert summary["records"] == [] and summary["comparison"] == {}
+    assert summary["objective"] == cfg.objective_tag
+    assert summary["epsilon"] == cfg.epsilon
+    on_disk = json.loads((out / "summary.json").read_text())
+    assert on_disk["failed"] == want
+    assert on_disk["config"] == json.loads(json.dumps(summary["config"]))
+    assert list((out / "curves").iterdir()) == []
+    assert list((out / "traces").iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # summarize
 
