@@ -47,7 +47,6 @@ from .objectives import (
     Objective,
     QuadraticObjective,
     generate_synthetic,
-    top_eigenvalue,
 )
 from .optimizers import (
     ALGORITHMS,

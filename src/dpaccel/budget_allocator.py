@@ -19,11 +19,13 @@ from typing import Callable
 import numpy as np
 
 from .optimizers import StageSchedule, masg_stage_schedule
-from .privacy_core import NoiseSchedule, epsilon_of
+from .privacy_core import BUDGET_TOL, NoiseSchedule, epsilon_of
 
 # Relative slack when checking alpha <= 1/L, so that alpha = c/L with c = 1
 # passes despite rounding.
 _ALPHA_SLACK = 1 + 1e-12
+# Leak residual at which rescale_for_subsampling's bisection stops.
+_RESCALE_RESIDUAL = 1e-12
 
 
 @dataclass
@@ -152,20 +154,15 @@ def optimal_schedule(
 
 
 def rescale_for_subsampling(
-    schedule: NoiseSchedule,
-    S1: float,
-    n: int,
-    m: int,
-    epsilon: float,
-    tol: float = 1e-9,
-    max_iter: int = 200,
+    schedule: NoiseSchedule, S1: float, n: int, m: int, epsilon: float
 ) -> tuple[NoiseSchedule, float]:
     """Multiply all scales by one factor so the audited leak sums to epsilon.
 
-    The composed leak is strictly decreasing in the factor, so bisection on
-    a bracketed factor converges; m = n inputs that already sum to epsilon
-    are returned unchanged with factor 1.  Raises if the audit cannot be
-    matched within tol in max_iter total evaluations.
+    The composed leak is strictly decreasing in the factor.  m = n inputs
+    that already sum to epsilon are returned unchanged with factor 1.  With
+    m < n, bisection on a bracketed factor runs until the residual is at
+    most _RESCALE_RESIDUAL or no float lies inside the bracket.  Raises
+    RuntimeError if the audit then misses epsilon by more than BUDGET_TOL.
     """
     _check_budget_args(S1, n, epsilon)
     if len(schedule) == 0:
@@ -176,46 +173,33 @@ def rescale_for_subsampling(
 
     if m == n:
         total = leak(1.0)
-        if abs(total - epsilon) <= tol:
+        if abs(total - epsilon) <= BUDGET_TOL:
             return schedule, 1.0
         factor = total / epsilon  # leak scales exactly as 1/factor here
         return _rescaled(schedule, S1, n, m, factor), factor
 
-    evals = 0
-    lo = hi = 1.0
-    f1 = leak(1.0) - epsilon
-    evals += 1
-    if abs(f1) <= tol * 1e-3:
-        return _rescaled(schedule, S1, n, m, 1.0), 1.0
-    if f1 > 0:  # leaking too much, scales must grow
+    lo = hi = mid = 1.0
+    fm = leak(mid) - epsilon
+    if fm > _RESCALE_RESIDUAL:  # leaking too much, scales must grow
         while leak(hi) - epsilon > 0:
             hi *= 2.0
-            evals += 1
-            if evals > max_iter:
-                raise RuntimeError("could not bracket the rescaling factor")
-    else:
+    elif fm < -_RESCALE_RESIDUAL:
         while leak(lo) - epsilon < 0:
             lo /= 2.0
-            evals += 1
-            if evals > max_iter:
-                raise RuntimeError("could not bracket the rescaling factor")
-    mid = 0.5 * (lo + hi)
-    while evals < max_iter:
+    while abs(fm) > _RESCALE_RESIDUAL:
         mid = 0.5 * (lo + hi)
-        fm = leak(mid) - epsilon
-        evals += 1
-        if abs(fm) <= tol * 1e-3 or (hi - lo) <= 1e-16 * mid:
+        if mid == lo or mid == hi:
             break
+        fm = leak(mid) - epsilon
         if fm > 0:
             lo = mid
         else:
             hi = mid
-    if abs(leak(mid) - epsilon) > tol:
-        raise RuntimeError(
-            f"rescaling did not converge within {max_iter} evaluations "
-            f"(residual {leak(mid) - epsilon:.3g})"
-        )
-    return _rescaled(schedule, S1, n, m, mid), mid
+    out = _rescaled(schedule, S1, n, m, mid)
+    residual = float(np.sum(out.eps)) - epsilon
+    if abs(residual) > BUDGET_TOL:
+        raise RuntimeError(f"rescaling did not converge (residual {residual:.3g})")
+    return out, mid
 
 
 def _rescaled(schedule: NoiseSchedule, S1, n, m, factor: float) -> NoiseSchedule:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,7 @@ def _add_run(sub):
     p = sub.add_parser("run", help="run the experiment grid from a JSON config")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None, help="threads (default: the config's)")
     p.add_argument("--seed-base", type=int, default=None)
     p.set_defaults(func=_cmd_run)
 
@@ -54,7 +55,9 @@ def _cmd_run(args):
     if args.seed_base is not None:
         config.seed_base = args.seed_base
         config.seeds = None
-    summary = run_grid(config, args.out, workers=args.workers)
+    if args.workers is not None:
+        config = replace(config, workers=args.workers)  # validated like the config
+    summary = run_grid(config, args.out)
     print(comparison_table(summary))
     ref = summary["reference"]
     print(f"\nreference optimum gradient norm: {ref['grad_norm']:.3e}")

@@ -40,10 +40,14 @@ GRID_ALGORITHMS = ("dp-gd", "dp-hb", "dp-nag", "dp-nag-opt", "dp-masg", "dp-masg
 # optimum's own precision.
 _LOG_FLOOR = 1e-300
 
+# reference_optimum's stopping gradient norm and iteration cap.
+_REFERENCE_GRAD_TOL = 1e-12
+_REFERENCE_MAX_ITER = 100_000
+
 
 @dataclass
 class ExperimentConfig:
-    """Desk-scale defaults; set full_scale for the 10x larger dataset."""
+    """Desk-scale defaults; the full-scale dataset is n = 100_000."""
 
     d: int = 20
     n: int = 10_000
@@ -62,11 +66,8 @@ class ExperimentConfig:
     masg_p: int = 1
     x0: tuple | None = None
     workers: int = 1
-    full_scale: bool = False
 
     def __post_init__(self):
-        if self.full_scale:
-            self.n = 100_000
         if self.d < 1 or self.n < 2:
             raise ValueError("need d >= 1 and n >= 2")
         if self.epsilon <= 0:
@@ -128,7 +129,7 @@ def build_objective(config: ExperimentConfig) -> LogisticObjective:
     return LogisticObjective(data, config.lam)
 
 
-def reference_optimum(obj, tol: float = 1e-12, max_iter: int = 100_000):
+def reference_optimum(obj):
     """Noise-free momentum run to near-stationarity.
 
     Returns (xstar, fstar, grad_norm) for the best iterate seen.  With the
@@ -139,14 +140,14 @@ def reference_optimum(obj, tol: float = 1e-12, max_iter: int = 100_000):
     x = np.zeros(obj.d)
     x_prev = x.copy()
     best_x, best_norm = x.copy(), np.linalg.norm(obj.full_gradient(x))
-    for _ in range(max_iter):
+    for _ in range(_REFERENCE_MAX_ITER):
         z = (1 + beta) * x - beta * x_prev
         g = obj.full_gradient(z)
         x_prev, x = x, z - alpha * g
         norm = np.linalg.norm(obj.full_gradient(x))
         if norm < best_norm:
             best_x, best_norm = x.copy(), norm
-        if norm <= tol:
+        if norm <= _REFERENCE_GRAD_TOL:
             break
     return best_x, obj.value(best_x), float(best_norm)
 
@@ -202,20 +203,19 @@ def _cell_name(algo: str, m: int, T: int, c: float, seed: int | None = None) -> 
     return base if seed is None else f"{base}_{seed}"
 
 
-def run_grid(config: ExperimentConfig, out_dir, workers: int | None = None) -> dict:
+def run_grid(config: ExperimentConfig, out_dir) -> dict:
     """Run the whole grid, write traces and a summary, return the summary.
 
     A cell that fails to plan is recorded under "failed" as {"cell", "error"}
     and skipped; a run that raises is recorded as {"cell", "seed", "error"},
     and the summary covers the runs that finished (no records, when none
-    did; summary.json is written either way).  Results are
-    deterministic for a fixed config regardless of the worker count: every
-    run is keyed by (cell, seed) and aggregation follows config order.
+    did; summary.json is written either way).  Results are deterministic
+    for a fixed config regardless of config.workers: every run is keyed by
+    (cell, seed) and aggregation follows config order.
     """
     out_dir = Path(out_dir)
     traces_dir = out_dir / "traces"
     traces_dir.mkdir(parents=True, exist_ok=True)
-    workers = config.workers if workers is None else workers
 
     started = time.perf_counter()
     obj = build_objective(config)
@@ -256,8 +256,8 @@ def run_grid(config: ExperimentConfig, out_dir, workers: int | None = None) -> d
         return trace
 
     tasks = [(cell, seed) for cell in plans for seed in seeds]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    if config.workers > 1:
+        with ThreadPoolExecutor(max_workers=config.workers) as pool:
             results = list(pool.map(lambda ts: one(*ts), tasks))
     else:
         results = [one(*task) for task in tasks]

@@ -20,10 +20,6 @@ from scipy.special import expit
 
 from .privacy_core import RngStream
 
-# Iteration cap for the power method; at the tolerances used below the
-# desk-sized problems converge in a few hundred steps.
-_POWER_MAX_ITER = 100_000
-
 # Elements of the (rows, n) margin block LogisticObjective.values works on:
 # large enough that each block is one GEMM, small enough (512 KiB) that the
 # block and its one temporary stay out of peak memory.  A block holds at
@@ -177,7 +173,7 @@ class LogisticObjective(Objective):
     F(x) = (1/n) sum_i log(1 + exp(-z_i u_i^T x)) + lam ||x||^2.
 
     Strong convexity constant is 2*lam from the ridge term; smoothness uses
-    the top eigenvalue of (1/n) U^T U + 2*lam*I, computed by power iteration.
+    the top eigenvalue of (1/n) U^T U + 2*lam*I.
     One record's gradient is z u sigmoid(-z u^T x) + ridge; swapping a record
     moves the per-record gradient by at most 2*u_max in L1 (the ridge part
     cancels), so the mean gradient moves by at most 2*u_max / m.
@@ -199,12 +195,15 @@ class LogisticObjective(Objective):
 
     @property
     def L(self) -> float:
-        # Deliberately the plain spectral estimate, not the tighter
-        # quarter-scaled logistic Hessian bound: stepsize rules elsewhere
-        # assume this convention.  It upper-bounds the true smoothness.
+        """Top eigenvalue of (1/n) U^T U + 2*lam*I by np.linalg.eigvalsh, cached.
+
+        Deliberately the plain spectral bound, not the tighter quarter-scaled
+        logistic Hessian bound: stepsize rules elsewhere assume it.  It
+        upper-bounds the true smoothness.
+        """
         if self._L is None:
             M = self.U.T @ self.U / self.n + 2.0 * self.lam * np.eye(self.d)
-            self._L = top_eigenvalue(M)
+            self._L = float(np.linalg.eigvalsh(M)[-1])
         return self._L
 
     def values(self, X: np.ndarray) -> np.ndarray:
@@ -305,26 +304,3 @@ class QuadraticObjective(Objective):
         if self._sensitivity is None:
             raise ValueError("no gradient sensitivity bound was supplied for this quadratic")
         return self._sensitivity
-
-
-def top_eigenvalue(M: np.ndarray, tol: float = 1e-8) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration.
-
-    Deterministic start (normalized all-ones); stops when the Rayleigh
-    quotient is stable to `tol` relative.
-    """
-    M = np.asarray(M, dtype=float)
-    d = M.shape[0]
-    v = np.ones(d) / np.sqrt(d)
-    lam = float(v @ (M @ v))
-    for _ in range(_POWER_MAX_ITER):
-        w = M @ v
-        norm = np.linalg.norm(w)
-        if norm == 0:
-            return 0.0
-        v = w / norm
-        new_lam = float(v @ (M @ v))
-        if abs(new_lam - lam) <= tol * max(abs(new_lam), 1e-30):
-            return new_lam
-        lam = new_lam
-    return lam

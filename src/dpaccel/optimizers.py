@@ -91,23 +91,6 @@ class StageSchedule:
     def total(self) -> int:
         return sum(self.lengths)
 
-    def stage_of(self, i: int) -> int:
-        """1-based stage index of 1-based iteration i."""
-        if not 1 <= i <= self.total:
-            raise ValueError(f"iteration {i} outside 1..{self.total}")
-        cum = 0
-        for k, length in enumerate(self.lengths, start=1):
-            cum += length
-            if i <= cum:
-                return k
-        raise AssertionError("unreachable")
-
-    def alpha_per_iteration(self) -> np.ndarray:
-        return np.repeat(self.alphas, self.lengths)
-
-    def stage_per_iteration(self) -> np.ndarray:
-        return np.repeat(np.arange(1, self.stages + 1), self.lengths)
-
 
 def masg_stage_schedule(mu: float, L: float, c: float, p: int, T: int) -> StageSchedule:
     """Stage plan: a unit-length warm stage at c/L, then geometrically longer
@@ -168,10 +151,6 @@ class Trace:
     eps_cum: np.ndarray
     meta: dict = field(default_factory=dict)
     iterates: np.ndarray | None = None
-
-    @property
-    def final_subopt(self) -> float:
-        return float(self.subopt[-1])
 
     @property
     def T(self) -> int:

@@ -86,7 +86,7 @@ def full_grid(tmp_path_factory):
     # 10 seeds: the tightest asserted gap in test 05 (dp-nag-opt against
     # dp-gd at m = 1000) is still about 6 standard errors wide
     config = ExperimentConfig(
-        full_scale=True, T_values=(100,), c_values=(0.1, 1.0), replicates=10, workers=2
+        n=100_000, T_values=(100,), c_values=(0.1, 1.0), replicates=10, workers=2
     )
     summary = run_grid(config, out)
     assert summary["failed"] == []

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from dpaccel import budget_allocator
 from dpaccel.budget_allocator import (
     BoundCoefficients,
     bound_value,
@@ -15,7 +16,17 @@ from dpaccel.budget_allocator import (
     select_horizon,
 )
 from dpaccel.optimizers import StageSchedule, masg_stage_schedule
-from dpaccel.privacy_core import epsilon_of
+from dpaccel.privacy_core import BUDGET_TOL, epsilon_of
+
+
+def stage_of(stages, i):
+    """1-based stage of 1-based iteration i, found by walking the stage lengths."""
+    end = 0
+    for k, length in enumerate(stages.lengths, start=1):
+        end += length
+        if i <= end:
+            return k
+    raise ValueError(f"iteration {i} outside 1..{stages.total}")
 
 
 def random_feasible_scales(rng, T, S1, n, epsilon):
@@ -73,14 +84,14 @@ def test_masg_coefficients_match_slow_formula():
     stages = masg_stage_schedule(mu, L, c, p, T)
     co = masg_coefficients(stages, mu, L)
     assert co.T == T
-    s_T = stages.stage_of(T)
+    s_T = stage_of(stages, T)
     # explicit per-iteration products
-    alphas = [stages.alphas[stages.stage_of(i) - 1] for i in range(1, T + 1)]
+    alphas = [stages.alphas[stage_of(stages, i) - 1] for i in range(1, T + 1)]
     for t in range(1, T + 1):
         prod = 1.0
         for i in range(t + 1, T + 1):
             prod *= 1 - np.sqrt(mu * alphas[i - 1])
-        s_t = stages.stage_of(t)
+        s_t = stage_of(stages, t)
         want = 2.0 ** (s_T - s_t) * prod * alphas[t - 1] * (1 + alphas[t - 1] * L)
         assert co.a[t - 1] == pytest.approx(want, rel=1e-12)
     prod_all = np.prod([1 - np.sqrt(mu * a) for a in alphas])
@@ -91,15 +102,15 @@ def slow_masg_weights(stages, mu, L):
     """a0 and a_t of masg_coefficients, one iteration at a time; each
     suffix product is accumulated from i = T down to i = t + 1."""
     T = stages.total
-    s_T = stages.stage_of(T)
-    alphas = [stages.alphas[stages.stage_of(i) - 1] for i in range(1, T + 1)]
+    s_T = stage_of(stages, T)
+    alphas = [stages.alphas[stage_of(stages, i) - 1] for i in range(1, T + 1)]
     q = [1 - np.sqrt(mu * alpha) for alpha in alphas]
     a = []
     for t in range(1, T + 1):
         prod = 1.0
         for i in range(T, t, -1):
             prod *= q[i - 1]
-        s_t = stages.stage_of(t)
+        s_t = stage_of(stages, t)
         a.append(2.0 ** (s_T - s_t) * prod * alphas[t - 1] * (1 + alphas[t - 1] * L))
     prod = 1.0
     for i in range(T, 0, -1):
@@ -302,11 +313,34 @@ def test_rescale_subsampled_audit():
         assert out.provenance == "optimized+rescaled"
 
 
-def test_rescale_reports_nonconvergence():
+@given(
+    st.lists(st.floats(0.05, 2.0), min_size=1, max_size=40),
+    st.floats(0.5, 50.0),
+    st.integers(2, 10**5),
+    st.floats(0.0, 1.0),
+    st.floats(0.1, 3.0),
+)
+@example(a=[1.0, 2.0], S1=2.0, n=1000, m_frac=0.0, eps=0.5)  # m = 1
+@example(a=[1.0, 2.0], S1=2.0, n=1000, m_frac=1.0, eps=0.5)  # m = n
+def test_rescaled_audit_equals_budget(a, S1, n, m_frac, eps):
+    m = 1 + int(m_frac * (n - 1))
+    sched = optimal_schedule(BoundCoefficients(a0=0.0, a=np.array(a)), S1, n, eps)
+    out, factor = rescale_for_subsampling(sched, S1, n, m, eps)
+    assert abs(float(np.sum(epsilon_of(S1, out.b, n, m))) - eps) <= BUDGET_TOL
+    # one common factor scales every entry
+    assert np.array_equal(out.b, factor * sched.b)
+
+
+def test_rescale_audit_rejects_a_missed_budget(monkeypatch):
     co = nag_coefficients(0.1, 1.0, 1.0, 4)
     sched = optimal_schedule(co, 2.0, 1000, 0.5)
+    rescaled = budget_allocator._rescaled
+    monkeypatch.setattr(
+        budget_allocator, "_rescaled",
+        lambda schedule, S1, n, m, factor: rescaled(schedule, S1, n, m, factor * (1 + 1e-6)),
+    )
     with pytest.raises(RuntimeError):
-        rescale_for_subsampling(sched, 2.0, 1000, 100, 0.5, max_iter=3)
+        rescale_for_subsampling(sched, 2.0, 1000, 100, 0.5)
 
 
 def test_select_horizon_limits():
@@ -338,7 +372,7 @@ def test_masg_opt_allocation_structure():
     # scales are larger within the tail; within a stage scales decrease
     co = masg_coefficients_for(0.02, 0.86, 1.0, 1, 200)
     sched = optimal_schedule(co, 40.0, 10**4, 1.0)
-    stage_it = co.stages.stage_per_iteration()
+    stage_it = np.array([stage_of(co.stages, t) for t in range(1, co.T + 1)])
     for k in range(1, co.stages.stages + 1):
         seg = sched.b[stage_it == k]
         assert np.all(np.diff(seg) < 0)

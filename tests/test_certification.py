@@ -1,6 +1,7 @@
 """Certificate assembly, grid search, and quadratic rate reports."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -22,8 +23,8 @@ from dpaccel.certification import (
 )
 from dpaccel.certification import _amplification, _sym3_eigvals_parts
 
-# np.linalg.eigvalsh serves as the independent eigenvalue oracle throughout;
-# the library itself never calls it on the 3x3 certificate matrices.
+# np.linalg.eigvalsh serves as the eigenvalue oracle throughout; the library
+# calls it only on the matrices its closed form flags as nearly degenerate.
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +50,7 @@ def test_sym3_identity_multiples_exact():
 
 
 def test_sym3_repeated_eigenvalues():
-    # rotated diag(a, a, b): the closed form degenerates, Jacobi takes over
+    # rotated diag(a, a, b): the closed form degenerates, eigvalsh takes over
     rng = np.random.default_rng(1)
     for _ in range(50):
         a, b = rng.normal(size=2)
@@ -59,6 +60,29 @@ def test_sym3_repeated_eigenvalues():
         got = sym3_eigvals(M)
         want = np.linalg.eigvalsh(M)
         np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-9)
+
+
+def test_sym3_nearly_repeated_matches_lapack(monkeypatch):
+    # rotated diag(a, a(1 +- delta), b) with delta from 1e-16 to 1e-6 lies on
+    # both sides of the threshold where the closed form hands over to eigvalsh
+    rng = np.random.default_rng(7)
+    k = 2000
+    a, b = rng.uniform(-10.0, 10.0, (2, k))
+    delta = rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(-16.0, -6.0, k)
+    Q = np.linalg.qr(rng.normal(size=(k, 3, 3)))[0]
+    M = np.einsum("kij,kj,klj->kil", Q, np.stack([a, a * (1 + delta), b], axis=1), Q)
+    M = 0.5 * (M + M.transpose(0, 2, 1))
+    want = np.linalg.eigvalsh(M)
+    eigvalsh, handed_over = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: handed_over.append(len(A)) or eigvalsh(A))
+    got = np.stack(
+        _sym3_eigvals_parts(M[:, 0, 0], M[:, 0, 1], M[:, 0, 2], M[:, 1, 1], M[:, 1, 2], M[:, 2, 2]),
+        axis=1,
+    )
+    assert 0 < sum(handed_over) < k
+    # the closed form's error near the threshold is about 1e-9 of the scale
+    scale = np.abs(M).max(axis=(1, 2))[:, None]
+    assert np.all(np.abs(got - want) <= 1e-8 * scale)
 
 
 def test_sym3_rejects_bad_shape():
@@ -255,6 +279,15 @@ def test_search_degenerate_grid_returns_trivial_tuple():
 
 def test_search_infeasible_returns_none():
     assert search_certificate(alpha=10.0, beta=0.999, mu=0.5, L=1.0) is None
+
+
+def test_search_tiny_stepsize_warns_nothing():
+    # alpha L = 1e-300: off-diagonal entries vanish against the diagonal gap,
+    # which once overflowed a rotation angle and leaked RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = search_certificate(2e-300, 0.5, 0.5, 0.5)
+    assert cert.rho == 0.5 and cert.c == 0.0
 
 
 def test_search_skips_vacuous_tuples_on_default_grid():

