@@ -9,10 +9,26 @@ problem: minimize sum_t a_t b_t^2 subject to the composed leak equalling the
 budget.  Without subsampling the constraint is linear in 1/b_t and the
 optimum is closed-form; with subsampling the closed form is rescaled by a
 common factor found by bisection.
+
+Both weight families are built from per-stage factors: stage s runs for
+l_s iterations with contraction q_s = 1 - sqrt(mu alpha_s) and gain
+k_s = alpha_s (1 + alpha_s L), and every stage boundary doubles the weights
+carried across it (Nesterov is the one-stage case).  The plan for T' <= T
+iterations is a prefix of the plan for T.  So the optimized bound
+B(T') = a0(T') E0 + noise * S(T')^3, with S(T') = sum_t a_t(T')^(1/3), follows
+for every T' from one pass over the stages:
+
+    S <- q^(1/3) S + k^(1/3),        a0 <- q a0        inside a stage,
+    S <- (2q)^(1/3) S + k^(1/3),     a0 <- 2q a0       entering a new one,
+
+from S = 0, a0 = 1.  select_horizon ranks the horizons by this estimate and
+evaluates exactly only those whose estimate lies within _HORIZON_MARGIN * T
+(relative) of the smallest; its docstring gives the error argument.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,16 +42,25 @@ from .privacy_core import BUDGET_TOL, NoiseSchedule, epsilon_of
 _ALPHA_SLACK = 1 + 1e-12
 # Leak residual at which rescale_for_subsampling's bisection stops.
 _RESCALE_RESIDUAL = 1e-12
+# Relative margin, per iteration of T_max, within which select_horizon
+# evaluates a horizon's bound exactly instead of trusting its estimate.
+_HORIZON_MARGIN = 64 * np.finfo(float).eps
 
 
 @dataclass
 class BoundCoefficients:
-    """Per-iteration weights of the error bound: a0 for E0, a[t-1] for step t."""
+    """Per-iteration weights of the error bound: a0 for E0, a[t-1] for step t.
+
+    factors holds one (length, q, k) triple per stage that the weights were
+    built from (see the module docstring); it is empty for weights given
+    directly.
+    """
 
     a0: float
     a: np.ndarray
     kind: str = ""
     stages: StageSchedule | None = None
+    factors: tuple = ()
 
     def __post_init__(self):
         self.a = np.asarray(self.a, dtype=float)
@@ -43,6 +68,8 @@ class BoundCoefficients:
             raise ValueError("coefficient vector must be 1-d")
         if self.a0 < 0 or np.any(self.a < 0):
             raise ValueError("coefficients must be nonnegative")
+        if self.factors and sum(length for length, _, _ in self.factors) != len(self.a):
+            raise ValueError("stage factors must cover every weight")
 
     @property
     def T(self) -> int:
@@ -60,8 +87,9 @@ def nag_coefficients(mu: float, L: float, alpha: float, T: int) -> BoundCoeffici
     if T < 1:
         raise ValueError(f"need T >= 1, got {T}")
     q = 1.0 - np.sqrt(mu * alpha)
-    a = q ** np.arange(T - 1, -1, -1.0) * (alpha * (1.0 + alpha * L))
-    return BoundCoefficients(a0=q**T, a=a, kind="nag")
+    k = alpha * (1.0 + alpha * L)
+    a = q ** np.arange(T - 1, -1, -1.0) * k
+    return BoundCoefficients(a0=q**T, a=a, kind="nag", factors=((T, float(q), k),))
 
 
 def masg_coefficients(stages: StageSchedule, mu: float, L: float) -> BoundCoefficients:
@@ -86,7 +114,8 @@ def masg_coefficients(stages: StageSchedule, mu: float, L: float) -> BoundCoeffi
     # Per-stage factors, repeated over each stage's iterations.  Products
     # are taken in the order of the per-iteration formula above, so every
     # weight is the same float whichever way it is built.
-    q_it = (1.0 - np.sqrt(mu * alphas)).repeat(lengths)
+    q = 1.0 - np.sqrt(mu * alphas)
+    q_it = q.repeat(lengths)
     # suffix[t] = prod_{i=t+1..T} q_i, t = 0..T
     suffix = np.empty(len(q_it) + 1)
     suffix[-1] = 1.0
@@ -96,7 +125,8 @@ def masg_coefficients(stages: StageSchedule, mu: float, L: float) -> BoundCoeffi
     a *= alphas.repeat(lengths)
     a *= (1.0 + alphas * L).repeat(lengths)
     a0 = 2.0 ** (s_T - 1) * suffix[0]
-    return BoundCoefficients(a0=a0, a=a, kind="masg", stages=stages)
+    factors = tuple(zip(lengths, q.tolist(), (alphas * (1.0 + alphas * L)).tolist()))
+    return BoundCoefficients(a0=a0, a=a, kind="masg", stages=stages, factors=factors)
 
 
 def masg_coefficients_for(mu: float, L: float, c: float, p: int, T: int) -> BoundCoefficients:
@@ -220,20 +250,79 @@ def select_horizon(
 ) -> tuple[int, float]:
     """Pick the iteration count minimizing the optimized bound.
 
-    Scans T' = 1..T_max, evaluating a0(T') * E0 plus the noise term of the
-    optimal allocation; more iterations shrink the first term but feed the
-    second.  Ties resolve to the smaller T'.
+    Returns the first T' in 1..T_max minimizing
+    _optimized_bound(builder(T'), E0, noise), with that bound: more
+    iterations shrink a0(T') E0 but feed the noise term.  builder(T_max)
+    must carry stage factors, and builder(T') must be the T'-iteration
+    prefix of its plan, as nag_coefficients and masg_coefficients_for are.
+
+    The recurrence of the module docstring estimates B(T') for every T'
+    from builder(T_max)'s factors in O(T_max); only the T' whose estimate
+    is within delta = _HORIZON_MARGIN * T_max (relative) of the smallest
+    estimate are built and evaluated exactly, so (T, bound) is what
+    evaluating every T' would return.  Why the margin suffices, with u the
+    unit roundoff (eps / 2), T = T_max and s stages: every weight, S and
+    a0 is a product of at most T rounded factors, so the estimate is within
+    a relative e1 = (9 T + 18 s + 4) u of the true B(T') and the exact
+    evaluation within e2 = (4 T + 16) u (the cube triples S's error; pow is
+    taken as accurate to 1 ulp, and each further ulp only adds a constant).
+    For the exact minimizer T* and the
+    estimated one T~,
+        est(T*) <= (1 + e1) B(T*) <= (1 + e1) exact(T*) / (1 - e2)
+                <= (1 + e1) exact(T~) / (1 - e2)
+                <= est(T~) (1 + e1)(1 + e2) / ((1 - e1)(1 - e2)),
+    about est(T~)(1 + 2 e1 + 2 e2), and 2 (e1 + e2) <= (62 T + 40) u is
+    below delta = 128 T u for 1 <= s <= T.  Every horizon that ties the
+    exact minimum passes the same test, so ties still resolve to the
+    smaller T'.  Where a0 underflows, its relative error is unbounded, but
+    each rounding below 2^-1022 is off by at most 2^-1075 and each stage
+    boundary doubles what is carried, so either computation of a0 E0 is
+    off by at most E0 T 2^(s - 1075); twice their sum, E0 T 2^(s - 1073),
+    is added to the threshold.  Weights a_t that underflow move S by at
+    most about T 2^-340 (|x^(1/3) - y^(1/3)| <= |x - y|^(1/3)), negligible
+    beside the last weight's k^(1/3) >= alpha^(1/3) for any stepsize above
+    1e-200.  The worst case stays O(T_max^2): a
+    bound that is flat to rounding over many horizons sends all of them to
+    the exact evaluation.
     """
     if T_max < 1:
         raise ValueError(f"need T_max >= 1, got {T_max}")
     _check_budget_args(S1, n, epsilon)
     _check_bound_args(d, E0)
     noise = d * S1**2 / (n * epsilon) ** 2
-    bounds = np.empty(T_max)
-    for Tp in range(1, T_max + 1):
-        bounds[Tp - 1] = _optimized_bound(builder(Tp), E0, noise)
-    best = int(np.argmin(bounds))
-    return best + 1, float(bounds[best])
+    full = builder(T_max)
+    if not full.factors:
+        raise ValueError("select_horizon needs coefficients that carry stage factors")
+    if full.T != T_max:
+        raise ValueError(f"builder({T_max}) returned {full.T} weights")
+    est = _estimated_bounds(full.factors, E0, noise)
+    best = float(est.min())
+    slack = _HORIZON_MARGIN * T_max * best + math.ldexp(E0 * T_max, len(full.factors) - 1073)
+    candidates = np.flatnonzero(est <= best + slack) + 1
+    exact = [_optimized_bound(builder(int(Tp)), E0, noise) for Tp in candidates]
+    i = int(np.argmin(exact))
+    return int(candidates[i]), exact[i]
+
+
+def _estimated_bounds(factors, E0: float, noise: float) -> np.ndarray:
+    """B(T') for T' = 1..T from the stage factors, by the module's recurrence.
+
+    Within a stage the recurrence is unrolled: after j of its iterations,
+    S = S_in r^j + k^(1/3) sum_{i<j} r^i with r = q^(1/3), and a0 = a0_in q^j,
+    where S_in and a0_in include the doubling at the stage's start.
+    """
+    third = 1.0 / 3.0
+    S = np.empty(sum(length for length, _, _ in factors))
+    a0 = np.empty_like(S)
+    S_in, a0_in, end = 0.0, 1.0, 0
+    for length, q, k in factors:
+        j = np.arange(length + 1.0)
+        r_j = (q**third) ** j
+        stop = end + length
+        S[end:stop] = S_in * r_j[1:] + k**third * np.cumsum(r_j[:-1])
+        a0[end:stop] = a0_in * q ** j[1:]
+        S_in, a0_in, end = 2.0**third * S[stop - 1], 2.0 * a0[stop - 1], stop
+    return a0 * E0 + noise * S**3
 
 
 def _check_mu_L_alpha(mu, L, alpha):

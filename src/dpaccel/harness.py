@@ -189,11 +189,11 @@ def plan_cell(algo: str, obj, m: int, T: int, c: float, epsilon: float,
             lambda Tp: masg_coefficients_for(mu, L, c, masg_p, Tp),
             e0_guess, S1, n, epsilon, d, T,
         )
-        stages = masg_stage_schedule(mu, L, c, masg_p, T_eff)
-        sched = optimal_schedule(masg_coefficients_for(mu, L, c, masg_p, T_eff), S1, n, epsilon)
+        coeffs = masg_coefficients_for(mu, L, c, masg_p, T_eff)
+        sched = optimal_schedule(coeffs, S1, n, epsilon)
         if m < n:
             sched, _ = rescale_for_subsampling(sched, S1, n, m, epsilon)
-        hp = HyperParams(alpha=stages.alphas[0], T=T_eff, m=m, stages=stages)
+        hp = HyperParams(alpha=coeffs.stages.alphas[0], T=T_eff, m=m, stages=coeffs.stages)
         return "dp-masg", hp, sched
     raise ValueError(f"unknown grid algorithm {algo!r}")
 

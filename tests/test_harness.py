@@ -1,13 +1,18 @@
 """Experiment orchestration: config, planning, grid runs, summaries, CLI."""
 
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dpaccel
 from dpaccel import harness
+from dpaccel.budget_allocator import masg_coefficients_for, optimized_bound_value
 from dpaccel.cli import main
 from dpaccel.harness import (
     ExperimentConfig,
@@ -477,6 +482,36 @@ def test_cli_allocate_nag_opt_selects_horizon(tmp_path):
     assert 1 <= len(sched.b) <= 60
     leak = float(np.sum(epsilon_of(4.0, sched.b, 1000, 1000)))
     assert leak == pytest.approx(1.0, abs=1e-9)
+
+
+def test_cli_allocate_masg_opt_subsampled(tmp_path, capsys):
+    out = tmp_path / "sched.csv"
+    rc = main(["allocate", "--scheme", "masg-opt", "--S1", "4.0", "--epsilon", "1.0",
+               "--T", "300", "--n", "1000", "--m", "100", "--mu", "0.05", "--L", "1.0",
+               "--c", "1.0", "--p", "1", "--e0", "50.0", "--d", "3", "--out", str(out)])
+    assert rc == 0
+    printed = capsys.readouterr().out
+    T = int(printed.split("selected horizon T=")[1].split()[0])
+    # the brute-force scan over every horizon
+    bounds = [optimized_bound_value(masg_coefficients_for(0.05, 1.0, 1.0, 1, Tp),
+                                    4.0, 1000, 1.0, 3, 50.0) for Tp in range(1, 301)]
+    assert T == int(np.argmin(bounds)) + 1
+    assert 1 < T < 300
+    sched = NoiseSchedule.from_csv(out)
+    assert len(sched.b) == T
+    leak = float(np.sum(epsilon_of(4.0, sched.b, 1000, 100)))
+    assert abs(leak - 1.0) <= 1e-9
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # importing scipy.optimize costs about 0.25 s and 23 MB, which would
+    # show in the start-up time and peak memory of every command
+    src = str(Path(dpaccel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, dpaccel; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_cli_certify(tmp_path):

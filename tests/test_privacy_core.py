@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dpaccel.privacy_core import (
     BUDGET_TOL,
@@ -205,6 +207,55 @@ def test_epsilon_amplification_properties():
             assert epsilon_of(S, b, n, m + 1) <= eps * (1 + 1e-12)
     # and the effect is strict when S/b is appreciable
     assert epsilon_of(4.0, 0.5, 1000, 1) > epsilon_of(4.0, 0.5, 1000, 1000)
+
+
+# Rounding allowance for the monotonicity properties.  Where x = S/(b m) is
+# small the leak is S/(b n) to first order, so neighbouring m can differ by
+# less than an ulp and the rounded product expm1(x) * m/n may order them
+# either way; epsilon_of also switches formula at x = _EXP_OVERFLOW.
+_MONOTONE_ULPS = 8 * np.finfo(float).eps
+
+
+@given(
+    st.floats(0.01, 100.0),
+    st.floats(1e-3, 1e3),
+    st.floats(1.0, 8.0),
+    st.integers(2, 10**6),
+    st.floats(0.0, 1.0),
+)
+def test_epsilon_of_monotone_in_scale(S, b, growth, n, m_frac):
+    m = 1 + int(m_frac * (n - 1))
+    # more noise never leaks more
+    assert epsilon_of(S, growth * b, n, m) <= epsilon_of(S, b, n, m) * (1 + _MONOTONE_ULPS)
+
+
+@given(
+    st.floats(0.01, 100.0),
+    st.floats(1e-3, 1e3),
+    st.integers(2, 10**6),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+)
+def test_epsilon_of_monotone_in_subsample(S, b, n, f1, f2):
+    m1, m2 = sorted(1 + int(f * (n - 1)) for f in (f1, f2))
+    # at a fixed scale a larger subsample leaks no more: (e^(S/(b m)) - 1) m
+    # falls with m, since its derivative is e^x (1 - x) - 1 < 0 at x = S/(b m)
+    assert epsilon_of(S, b, n, m2) <= epsilon_of(S, b, n, m1) * (1 + _MONOTONE_ULPS)
+
+
+@given(
+    st.floats(0.01, 10.0),
+    st.integers(1, 5000),
+    st.integers(1, 10**6),
+    st.floats(0.0, 1.0),
+    st.floats(0.1, 100.0),
+)
+def test_per_iteration_epsilon_round_trips_through_epsilon_of(epsilon, T, n, m_frac, S):
+    m = 1 + int(m_frac * (n - 1))
+    eps0 = per_iteration_epsilon(epsilon, T, n, m)
+    # the scale whose base leak S/(b m) is eps0 leaks epsilon / T once amplified
+    back = epsilon_of(S, S / (m * eps0), n, m)
+    assert back == pytest.approx(epsilon / T, rel=1e-12)
 
 
 def test_epsilon_validation():
