@@ -74,6 +74,8 @@ class ExperimentConfig:
             raise ValueError(f"budget must be positive, got {self.epsilon}")
         if self.lam <= 0 or self.u_max <= 0:
             raise ValueError("lam and u_max must be positive")
+        if not 0 <= self.e0_guess < np.inf:
+            raise ValueError(f"e0_guess must be finite and non-negative, got {self.e0_guess}")
         unknown = set(self.algorithms) - set(GRID_ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms {sorted(unknown)}")
@@ -387,15 +389,17 @@ def _write_curve_csvs(curve_dir: Path, summary: dict) -> None:
 
 
 def comparison_table(summary: dict) -> str:
-    """Plain-text best-over-T table, one row per (algorithm, m, c)."""
+    """Plain-text best-over-T table, one row per (algorithm, m, c).
+
+    A key the traces did not record prints as "-": c, for traces written
+    outside run_grid.
+    """
     rows = sorted(
         summary["comparison"].values(),
         key=lambda r: (str(r["m"]), str(r["c"]), r["algorithm"]),
     )
     lines = [f"{'algorithm':<14}{'m':>8}{'c':>6}{'best T':>8}{'final mean error':>20}"]
     for r in rows:
-        lines.append(
-            f"{r['algorithm']:<14}{r['m']:>8}{r['c']:>6}{r['best_T']:>8}"
-            f"{r['final_mean_error']:>20.6g}"
-        )
+        m, c, T = ("-" if r[k] is None else r[k] for k in ("m", "c", "best_T"))
+        lines.append(f"{r['algorithm']:<14}{m:>8}{c:>6}{T:>8}{r['final_mean_error']:>20.6g}")
     return "\n".join(lines)

@@ -24,8 +24,14 @@ from dpaccel.harness import (
     summarize,
 )
 from dpaccel.objectives import Dataset, LogisticObjective, QuadraticObjective, generate_synthetic
-from dpaccel.optimizers import Trace, nesterov_momentum, polyak_momentum
-from dpaccel.privacy_core import NoiseSchedule, epsilon_of
+from dpaccel.optimizers import HyperParams, Trace, nesterov_momentum, polyak_momentum, run
+from dpaccel.privacy_core import (
+    NoiseSchedule,
+    PrivacyAccount,
+    RngStream,
+    epsilon_of,
+    uniform_scale,
+)
 from dpaccel.svgplot import write_line_svg
 
 
@@ -102,6 +108,9 @@ def test_config_validation():
         tiny_config(workers=0)
     with pytest.raises(ValueError):
         tiny_config(replicates=0)
+    for e0 in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="e0_guess"):
+            tiny_config(e0_guess=e0)
 
 
 # ---------------------------------------------------------------------------
@@ -503,12 +512,13 @@ def test_cli_allocate_masg_opt_subsampled(tmp_path, capsys):
     assert abs(leak - 1.0) <= 1e-9
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # importing scipy.optimize costs about 0.25 s and 23 MB, which would
-    # show in the start-up time and peak memory of every command
+def test_import_loads_no_scipy():
+    # dpaccel needs only numpy; importing scipy.special alone costs about
+    # 0.3 s and 26 MB, which would show in the start-up time and peak memory
+    # of every command
     src = str(Path(dpaccel.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, dpaccel; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    code = "import sys, dpaccel; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True)
     assert done.stdout.strip() == "[]"
@@ -577,6 +587,21 @@ def test_cli_run_workers_sets_the_config(tmp_path):
     assert summary["config"]["workers"] == 2
     with pytest.raises(ValueError, match="workers"):
         main(args + ["--workers", "0"])
+
+
+def test_cli_summarize_trace_outside_grid(tmp_path, capsys):
+    # run() writes no grid metadata, so the cell has no stepsize scale c
+    obj = build_objective(tiny_config())
+    T = 5
+    hp = HyperParams(alpha=1.0 / obj.L, T=T, m=obj.n)
+    sched = uniform_scale(obj.sensitivity_bound(), 1.0, T, obj.n, obj.n)
+    account = PrivacyAccount(1.0 + 1e-9, T, obj.n, obj.n)
+    trace = run("dp-gd", obj, hp, sched, account, RngStream(1), np.zeros(obj.d), fstar=0.0)
+    trace.to_csv(tmp_path / "dp-gd.csv")
+    capsys.readouterr()
+    assert main(["summarize", "--traces", str(tmp_path)]) == 0
+    header, row = capsys.readouterr().out.strip().splitlines()
+    assert row.split()[:4] == ["dp-gd", str(obj.n), "-", str(T)]
 
 
 def test_cli_summarize_empty_dir_exits(tmp_path):

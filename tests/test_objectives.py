@@ -1,3 +1,7 @@
+import hashlib
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +9,7 @@ from dpaccel.objectives import (
     Dataset,
     LogisticObjective,
     QuadraticObjective,
+    _sigmoid,
     generate_synthetic,
 )
 
@@ -39,6 +44,40 @@ def test_synthetic_labels_follow_model():
     assert agree > 0.8
     with pytest.raises(ValueError):
         generate_synthetic(6, 10, 1.0, 0, x_true=np.ones(5))
+
+
+def test_synthetic_labels_pinned():
+    # sha256 of the labels drawn through scipy.special.expit: the numpy
+    # sigmoid must draw every one of them the same
+    z = generate_synthetic(20, 10_000, 20.0, 0).z
+    digest = "a0a25d2eaf0cad47be5001ef49edec02671331a7a404ab9d45bd4364b84ce684"
+    assert hashlib.sha256(z.tobytes()).hexdigest() == digest
+
+
+def reference_sigmoid(v):
+    """1 / (1 + e^-v) with libm's exp; 0 where e^-v overflows."""
+    try:
+        return 1.0 / (1.0 + math.exp(-v))
+    except OverflowError:
+        return 0.0
+
+
+def test_sigmoid_matches_libm_reference():
+    special = [0.0, -0.0, math.inf, -math.inf, -709.7, -709.8]
+    x = np.concatenate([np.linspace(-800.0, 800.0, 160_001), special])
+    with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+        warnings.simplefilter("error")
+        y = _sigmoid(x)
+    ref = np.array([reference_sigmoid(v) for v in x])
+    # both are >= 0, where the distance in ulps is the distance of the bit patterns
+    assert np.abs(y.view(np.int64) - ref.view(np.int64)).max() <= 4
+    assert np.all(y[x < -709.78] == 0.0)
+    assert np.all(y[x > 37.0] == 1.0)
+    assert 0.0 < y[-2] < 1e-307 and y[-1] == 0.0  # -709.7 and -709.8
+
+    one = _sigmoid(np.float64(0.25))
+    assert type(one) is np.float64
+    assert abs(one - reference_sigmoid(0.25)) <= 4 * np.spacing(one)
 
 
 def test_synthetic_validation():
