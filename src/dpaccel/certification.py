@@ -11,22 +11,52 @@ All 3x3 eigenvalues use an explicit symmetric closed form, about 10x
 faster than batched np.linalg.eigvalsh; near the degenerate (repeated-root)
 regime, where it loses accuracy, one batched eigvalsh call takes over.
 
-The search skips the eigen-solve for a candidate with a diagonal entry
-below -tol - delta, and this cannot change its answer.  A symmetric
-matrix's smallest eigenvalue is at most each of its diagonal entries
-(interlacing), so such a candidate's exact smallest eigenvalue is below
--tol - delta too.  delta = _PRUNE_MARGIN * max(1, S), with S the largest
-|entry| of any candidate at any grid rate, bounds the computed smallest
-eigenvalue's absolute error.  Outside the fallback regime arccos amplifies
-the few-ulp rounding of its argument at most 1/sqrt(_DEGENERATE_DISC) =
-1e7 times, about 1e-8 of the matrix scale (measured: at most 2.8e-9 of
+The search prunes candidates in three ways, and none can change its
+answer.  Each rests on a margin below the feasibility threshold -tol.
+
+Diagonal entries.  The search skips the eigen-solve for a candidate with a
+diagonal entry below cut = -tol - delta.  A symmetric matrix's smallest
+eigenvalue is at most each of its diagonal entries (interlacing), so such a
+candidate's exact smallest eigenvalue is below -tol - delta too.
+delta = _PRUNE_MARGIN * max(1, S), with S the largest |entry| of any
+candidate at any grid rate, bounds the computed smallest eigenvalue's
+absolute error.  Outside the fallback regime arccos amplifies the few-ulp
+rounding of its argument at most 1/sqrt(_DEGENERATE_DISC) = 1e7 times,
+about 1e-8 of the matrix scale (measured: at most 2.8e-9 of
 max(1, largest |entry|) on 2e6 nearly degenerate random matrices).  Inside
 it, eigvalsh is backward stable, so its error is a small multiple of the
 unit roundoff times the matrix norm, about 1e-15 of the scale.
 _PRUNE_MARGIN ~ 9.5e-7 is far above both.  The computed eigenvalue of a
 skipped candidate is therefore below -tol, and the unpruned search
-rejects it as well.  The survivors' eigenvalues are computed elementwise
-by the same code, so they are bitwise those of the unpruned search.
+rejects it as well.
+
+2x2 principal minors.  By Cauchy interlacing the smallest eigenvalue of a
+symmetric matrix is also at most the smallest eigenvalue of each of its
+2x2 principal submatrices [[a, b], [b, c]].  The search computes that as
+(a + c)/2 - sqrt(((a - c)/2)^2 + b^2), whose rounding is a few ulps of
+max(|a|, |b|, |c|) <= S, about 1e-15 S.  A candidate with one such value
+below cut has an exact smallest eigenvalue below -tol - delta + 1e-15 S,
+so its computed one is below -tol, by the same margin as above.  (Entries
+whose squares overflow, above 1e154, are out of reach of the 3x3 closed
+form as well.)
+
+Compaction.  m33 does not depend on the rate, and m11 and m22 are affine
+in r2 = rho^2, so over the grid an exact m11 or m22 is largest at the
+smallest or the largest r2.  Each computed entry sums at most five terms
+(c0 2 mu L, c x11, c (1 - r2) mu/2, f11, r2 p11 for m11) in about six
+roundings, so it is within about 30 u T of its exact value, T the largest
+|term| at the extreme rates and u = 2^-53.  Before the rate loop the
+search drops every candidate whose m33 is below cut, or whose m11 or m22
+is below cut - margin at both extreme rates, with
+margin = _COMPACT_MARGIN * max(1, T, |cut|).  At any grid rate such an
+entry is then below cut - margin + 2 * 30 u T (plus the rounding of
+cut - margin, a few u |cut|), which is below cut: the candidate fails the
+diagonal test at every rate.  _COMPACT_MARGIN = 2^-40 ~ 9.1e-13 is more
+than 100 times 60 u.
+
+The survivors keep their grid order, and their entries and eigenvalues are
+computed elementwise by the same operations, so they are bitwise those of
+the unpruned search, and so is the tie-break among them.
 """
 
 from __future__ import annotations
@@ -41,6 +71,9 @@ _DEGENERATE_DISC = 1e-14
 # Bound on the closed form's absolute error in the smallest eigenvalue, as
 # a multiple of max(1, largest |entry|); see the module docstring.
 _PRUNE_MARGIN = 2.0**-20
+# Margin for the rounding of a diagonal entry, as a multiple of the largest
+# |term| it sums; see the module docstring.
+_COMPACT_MARGIN = 2.0**-40
 
 
 # ---------------------------------------------------------------------------
@@ -54,13 +87,16 @@ def _sym3_eigvals_parts(a11, a12, a13, a22, a23, a33):
     depressed-cubic discriminant is within _DEGENERATE_DISC of zero are
     recomputed together by np.linalg.eigvalsh.
     """
-    a11, a12, a13, a22, a23, a33 = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (a11, a12, a13, a22, a23, a33))
-    )
+    parts = [np.asarray(v, dtype=float) for v in (a11, a12, a13, a22, a23, a33)]
+    if len({v.shape for v in parts}) > 1:
+        parts = np.broadcast_arrays(*parts)
+    a11, a12, a13, a22, a23, a33 = parts
     q = (a11 + a22 + a33) / 3.0
     p1 = a12**2 + a13**2 + a23**2
     p2 = (a11 - q) ** 2 + (a22 - q) ** 2 + (a33 - q) ** 2 + 2.0 * p1
-    scale = np.maximum.reduce([np.abs(v) for v in (a11, a12, a13, a22, a23, a33)])
+    scale = np.abs(a11)
+    for v in (a12, a13, a22, a23, a33):
+        scale = np.maximum(scale, np.abs(v))
     p = np.sqrt(np.maximum(p2, 0.0) / 6.0)
     safe_p = np.where(p > 0, p, 1.0)
     b11 = (a11 - q) / safe_p
@@ -80,15 +116,14 @@ def _sym3_eigvals_parts(a11, a12, a13, a22, a23, a33):
     e_lo = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
     e_mid = 3.0 * q - e_hi - e_lo
 
-    lo = np.array(e_lo, ndmin=1)
-    mid = np.array(e_mid, ndmin=1)
-    hi = np.array(e_hi, ndmin=1)
+    lo, mid, hi = np.atleast_1d(e_lo, e_mid, e_hi)
     # multiple of identity: exact, and (1 - r^2) is meaningless there
-    iso = np.array(p2 <= (1e-30 * np.maximum(scale, 1.0) ** 2), ndmin=1)
-    lo[iso] = mid[iso] = hi[iso] = np.broadcast_to(q, lo.shape)[iso]
-    degenerate = np.array((1.0 - r**2) < _DEGENERATE_DISC, ndmin=1) & ~iso
-    if np.any(degenerate):
-        a = [np.array(v, ndmin=1)[degenerate] for v in (a11, a12, a13, a22, a23, a33)]
+    iso = np.atleast_1d(p2 <= (1e-30 * np.maximum(scale, 1.0) ** 2))
+    if np.count_nonzero(iso):
+        lo[iso] = mid[iso] = hi[iso] = np.broadcast_to(q, lo.shape)[iso]
+    degenerate = np.atleast_1d((1.0 - r**2) < _DEGENERATE_DISC) & ~iso
+    if np.count_nonzero(degenerate):
+        a = [np.atleast_1d(v)[degenerate] for v in (a11, a12, a13, a22, a23, a33)]
         M = np.stack([a[0], a[1], a[2], a[1], a[3], a[4], a[2], a[4], a[5]], axis=-1)
         lo[degenerate], mid[degenerate], hi[degenerate] = np.linalg.eigvalsh(M.reshape(-1, 3, 3)).T
     if np.ndim(a11) == 0:
@@ -229,6 +264,11 @@ class CertificateGrid:
         return cls(rho=rho, p11=diag, p12=off, p22=diag, c0=mult, c=mult)
 
 
+def _sym2_min(d1, d2, off):
+    """Smaller eigenvalue of [[d1, off], [off, d2]], elementwise."""
+    return 0.5 * (d1 + d2) - np.sqrt((0.5 * (d1 - d2)) ** 2 + off * off)
+
+
 def _amplification(p11, p12, p22, c, L):
     """1 + 2 P12^2 / (P22 c L + 2 det P), with 0/0 -> 0 for the ratio."""
     num = 2.0 * p12**2
@@ -238,6 +278,93 @@ def _amplification(p11, p12, p22, c, L):
     out = np.where(num == 0.0, 1.0, 1.0 + num / np.where(den != 0.0, den, 1.0))
     out = np.where((num != 0.0) & (den == 0.0), np.inf, out)
     return float(out) if out.ndim == 0 else out
+
+
+@dataclass
+class _Candidates:
+    """What a search scans: its rates and cut, and the (P, c0, c) candidates
+    some rate's diagonal test can admit, flattened in grid order."""
+
+    rhos: np.ndarray  # ascending
+    cut: float
+    index: tuple  # (iP, ic0, ic): positions on the (PSD P, c0, c) grid
+    P: np.ndarray  # rows p11, p12, p22, f11, f12, f13, f22
+    c0: np.ndarray
+    c: np.ndarray
+    m23: np.ndarray
+    m33: np.ndarray
+    vacuous: np.ndarray
+    coef: tuple  # scalars of the rate-dependent entries; see _rate_entries
+
+
+def _rate_entries(coef, r2, c0, c, P):
+    """m11, m12, m13 and m22 at rate^2 r2 for multipliers c0, c and P rows P."""
+    k11, x11, x12, k13, x13, x22, mu = coef
+    p11, p12, p22, f11, f12, f13, f22 = P
+    m11 = c0 * k11 + c * (x11 + (1 - r2) * 0.5 * mu) - (f11 - r2 * p11)
+    m12 = c * x12 - (f12 - r2 * p12)
+    m13 = c0 * k13 + c * (x13 + (1 - r2) * -0.5) - f13
+    m22 = c * x22 - (f22 - r2 * p22)
+    return m11, m12, m13, m22
+
+
+def _compact(alpha, beta, mu, L, grid: CertificateGrid, tol: float) -> _Candidates:
+    """The search's cut, and every candidate whose diagonal can pass it at
+    some grid rate (see the module docstring for the margins)."""
+    p11, p12, p22 = np.meshgrid(grid.p11, grid.p12, grid.p22, indexing="ij")
+    p11, p12, p22 = (v.ravel() for v in (p11, p12, p22))
+    psd = (p11 >= 0) & (p22 >= 0) & (p11 * p22 - p12**2 >= 0)
+    p11, p12, p22 = p11[psd], p12[psd], p22[psd]
+    if len(p11) == 0:
+        raise ValueError("no PSD candidates for P on the grid")
+
+    a, bb = 1.0 + beta, -beta
+    # A'PA, A'PB, B'PB entries as functions of the P entries
+    f11 = a * a * p11 + 2.0 * a * p12 + p22
+    f12 = a * bb * p11 + bb * p12
+    f22 = bb * bb * p11
+    f13 = alpha * (a * p11 + p12)
+    f23 = alpha * bb * p11
+    f33 = alpha * alpha * p11
+    P = np.stack((p11, p12, p22, f11, f12, f13, f22))
+    g = (1.0 - L * alpha) * beta
+    x11 = -0.5 * L * beta**2  # = x22 = -x12
+    coef = (2 * mu * L, x11, 0.5 * L * beta**2, -(mu + L), -0.5 * g, x11, mu)
+
+    # the whole grid, shaped (P, c0, c); m23 and m33 do not depend on the rate
+    c0v, cv = grid.c0.reshape(1, -1, 1), grid.c.reshape(1, 1, -1)
+    m23 = cv * (0.5 * g) - f23[:, None, None]
+    m33 = c0v * 2.0 + cv * (0.5 * alpha * (2.0 - L * alpha)) - f33[:, None, None]
+    # The other entries are affine in rho^2, so their extremes over the
+    # grid sit at the smallest and the largest rate^2.
+    rhos = np.sort(grid.rho)
+    r2s = rhos * rhos
+    r2_ends = (r2s.min(), r2s.max())
+    ends = [_rate_entries(coef, r2, c0v, cv, P[:, :, None, None]) for r2 in r2_ends]
+    entry_max = max(np.abs(m).max() for m in (m23, m33, *ends[0], *ends[1]))
+    cut = -tol - _PRUNE_MARGIN * max(entry_max, 1.0)
+    cmax = np.abs(grid.c).max()
+    term_max = max(  # the terms m11 and m22 sum, at the extreme rates
+        np.abs(grid.c0).max() * coef[0], cmax * abs(x11), np.abs(f11).max(), np.abs(f22).max(),
+        *(cmax * abs((1 - r2) * 0.5 * mu) for r2 in r2_ends),
+        *(abs(r2) * np.abs(p).max() for r2 in r2_ends for p in (p11, p22)),
+    )
+    low = cut - _COMPACT_MARGIN * max(1.0, term_max, -cut)
+    keep = (
+        (m33 >= cut)
+        & ((ends[0][0] >= low) | (ends[1][0] >= low))
+        & ((ends[0][3] >= low) | (ends[1][3] >= low))
+    )
+    iP, ic0, ic = np.nonzero(keep)
+    zero_P = (p11 == 0.0) & (p12 == 0.0) & (p22 == 0.0)
+    vacuous = zero_P[iP] & (grid.c[ic] == 0.0)
+    if zero_P.all() and np.all(grid.c == 0.0):
+        # nothing informative anywhere: degrade to plain feasibility
+        vacuous[:] = False
+    return _Candidates(
+        rhos=rhos, cut=cut, index=(iP, ic0, ic), P=P[:, iP], c0=grid.c0[ic0], c=grid.c[ic],
+        m23=m23[iP, 0, ic], m33=m33[iP, ic0, ic], vacuous=vacuous, coef=coef,
+    )
 
 
 def search_certificate(
@@ -267,94 +394,35 @@ def search_certificate(
     if any(len(v) == 0 for v in (grid.rho, grid.p11, grid.p12, grid.p22, grid.c0, grid.c)):
         raise ValueError("empty certificate grid")
 
-    p11, p12, p22 = np.meshgrid(grid.p11, grid.p12, grid.p22, indexing="ij")
-    p11, p12, p22 = (v.ravel() for v in (p11, p12, p22))
-    psd = (p11 >= 0) & (p22 >= 0) & (p11 * p22 - p12**2 >= 0)
-    p11, p12, p22 = p11[psd], p12[psd], p22[psd]
-    if len(p11) == 0:
-        raise ValueError("no PSD candidates for P on the grid")
-
-    a, bb = 1.0 + beta, -beta
-    # A'PA, A'PB, B'PB entries as functions of the P entries
-    f11 = a * a * p11 + 2.0 * a * p12 + p22
-    f12 = a * bb * p11 + bb * p12
-    f22 = bb * bb * p11
-    f13 = alpha * (a * p11 + p12)
-    f23 = alpha * bb * p11
-    f33 = alpha * alpha * p11
-
-    g = (1.0 - L * alpha) * beta
-    x1 = dict(
-        m11=-0.5 * L * beta**2, m12=0.5 * L * beta**2, m13=-0.5 * g,
-        m22=-0.5 * L * beta**2, m23=0.5 * g, m33=0.5 * alpha * (2.0 - L * alpha),
-    )
-
-    shape_P = (len(p11), 1, 1)
-    kP = np.arange(len(p11)).reshape(shape_P)
-    c0v = grid.c0.reshape(1, -1, 1)
-    cv = grid.c.reshape(1, 1, -1)
-    zero_P = (p11 == 0.0) & (p12 == 0.0) & (p22 == 0.0)
-    vacuous = np.broadcast_to(
-        zero_P[:, None, None] & (grid.c == 0.0)[None, None, :],
-        (len(p11), len(grid.c0), len(grid.c)),
-    )
-    if vacuous.all():
-        # nothing informative anywhere: degrade to plain feasibility
-        vacuous = np.zeros_like(vacuous)
-
-    def diagonal(r2):
-        """m11 over the whole grid and m22 over (P, c), at rate^2 r2."""
-        m11 = c0v * (2 * mu * L) + cv * (x1["m11"] + (1 - r2) * 0.5 * mu) - (
-            f11 - r2 * p11
-        ).reshape(shape_P)
-        m22 = cv * x1["m22"] - (f22 - r2 * p22).reshape(shape_P)
-        return m11, m22
-
-    def off_diagonal(r2, c0, c, k):
-        """m12 and m13 at rate^2 r2 for multipliers c0, c and P candidates k."""
-        m12 = c * x1["m12"] - (f12[k] - r2 * p12[k])
-        m13 = c0 * (-(mu + L)) + c * (x1["m13"] + (1 - r2) * -0.5) - f13[k]
-        return m12, m13
-
-    # rate-invariant entries: m23 over (P, c), m33 over the whole grid
-    m23 = cv * x1["m23"] - f23.reshape(shape_P)
-    m33 = c0v * 2.0 + cv * x1["m33"] - f33.reshape(shape_P)
-    # Largest |entry| anywhere: each entry is affine in rho^2, so its
-    # extremes over the grid sit at the smallest and the largest rate.
-    rhos = np.sort(grid.rho)
-    entry_max = max(
-        np.abs(m).max()
-        for r2 in rhos[[0, -1]] ** 2
-        for m in (m23, m33, *diagonal(r2), *off_diagonal(r2, c0v, cv, kP))
-    )
-    cut = -tol - _PRUNE_MARGIN * max(entry_max, 1.0)
-    keep33 = m33 >= cut
-    for rho in rhos:
+    cand = _compact(alpha, beta, mu, L, grid, tol)
+    cut, P, c, m23, m33 = cand.cut, cand.P, cand.c, cand.m23, cand.m33
+    for rho in cand.rhos:
         r2 = rho * rho
-        m11, m22 = diagonal(r2)
-        # candidates no diagonal entry rules out, in grid order
-        iP, ic0, ic = np.nonzero(keep33 & (m11 >= cut) & (m22 >= cut))
-        if len(iP) == 0:
-            continue
-        m12, m13 = off_diagonal(r2, grid.c0[ic0], grid.c[ic], iP)
-        lo, _, _ = _sym3_eigvals_parts(
-            m11[iP, ic0, ic], m12, m13, m22[iP, 0, ic], m23[iP, 0, ic], m33[iP, ic0, ic]
+        m11, m12, m13, m22 = _rate_entries(cand.coef, r2, cand.c0, c, P)
+        # no diagonal entry and no 2x2 principal minor rules these out
+        k = np.flatnonzero(
+            (m11 >= cut) & (m22 >= cut)
+            & (_sym2_min(m11, m22, m12) >= cut)
+            & (_sym2_min(m11, m33, m13) >= cut)
+            & (_sym2_min(m22, m33, m23) >= cut)
         )
-        informative = (lo >= -tol) & ~vacuous[iP, ic0, ic]
+        if len(k) == 0:
+            continue
+        lo, _, _ = _sym3_eigvals_parts(m11[k], m12[k], m13[k], m22[k], m23[k], m33[k])
+        informative = (lo >= -tol) & ~cand.vacuous[k]
         if not np.any(informative):
             continue
-        iP, ic0, ic, lo = iP[informative], ic0[informative], ic[informative], lo[informative]
-        amp = _amplification(p11[iP], p12[iP], p22[iP], grid.c[ic], L)
-        k = int(np.argmin(amp))  # first index on ties: deterministic grid order
-        sel_P = iP[k]
-        P = np.array([[p11[sel_P], p12[sel_P]], [p12[sel_P], p22[sel_P]]])
+        k, lo = k[informative], lo[informative]
+        amp = _amplification(P[0, k], P[1, k], P[2, k], c[k], L)
+        j = int(np.argmin(amp))  # first index on ties: deterministic grid order
+        p11, p12, p22 = P[:3, k[j]]
         return Certificate(
             rho=float(rho),
-            P=P,
-            c0=float(grid.c0[ic0[k]]),
-            c=float(grid.c[ic[k]]),
-            slack=float(lo[k]),
-            noise_amplification=float(amp[k]),
+            P=np.array([[p11, p12], [p12, p22]]),
+            c0=float(cand.c0[k[j]]),
+            c=float(c[k[j]]),
+            slack=float(lo[j]),
+            noise_amplification=float(amp[j]),
         )
     return None
 

@@ -216,7 +216,8 @@ def _cmd_summarize(args):
         groups: dict[tuple, list] = {}
         for rec in summary["records"]:
             groups.setdefault((rec["m"], rec["c"]), []).append(rec)
-        for (m, c), recs in groups.items():
+        for key, recs in groups.items():
+            m, c = ("-" if v is None else v for v in key)  # as comparison_table prints them
             curves = [
                 (f"{r['algorithm']} T={r['T']}", np.arange(len(r["mean_log10"])),
                  r["mean_log10"])

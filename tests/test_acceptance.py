@@ -204,6 +204,7 @@ def test_acceptance_03_closed_form_allocation_is_optimal():
     assert elapsed < 10.0, f"allocation sweep took {elapsed:.2f}s"
 
 
+@pytest.mark.slow
 def test_acceptance_04_optimized_schedule_beats_uniform(desk_grid):
     # (a) in the bound, for random configurations of both coefficient kinds
     rng = np.random.default_rng(404)
@@ -243,6 +244,7 @@ def test_acceptance_04_optimized_schedule_beats_uniform(desk_grid):
     assert desk_grid["wall"] < 600.0, f"grid took {desk_grid['wall']:.0f}s"
 
 
+@pytest.mark.slow
 def test_acceptance_05_accelerated_vs_gd_orderings(desk_grid, full_grid):
     """Momentum against plain DP-GD, where the noise floor allows an ordering.
 

@@ -21,7 +21,13 @@ from dpaccel.certification import (
     search_certificate,
     sym3_eigvals,
 )
-from dpaccel.certification import _amplification, _sym3_eigvals_parts
+from dpaccel.certification import (
+    _PRUNE_MARGIN,
+    _amplification,
+    _compact,
+    _sym2_min,
+    _sym3_eigvals_parts,
+)
 
 # np.linalg.eigvalsh serves as the eigenvalue oracle throughout; the library
 # calls it only on the matrices its closed form flags as nearly degenerate.
@@ -354,9 +360,10 @@ def test_search_validation():
         search_certificate(1.0, 0.0, 0.5, 1.0, grid=g)
 
 
-def unpruned_search(alpha, beta, mu, L, grid, tol=1e-9):
-    """search_certificate as a full scan: the eigenvalues of every candidate
-    at every rate, with no candidate skipped; returns as_dict() or None."""
+def grid_entries(alpha, beta, mu, L, grid, rho):
+    """The PSD P candidates (p11, p12, p22) and the six entries (m11, m12,
+    m13, m22, m23, m33) of every candidate at rate rho, shaped (P, c0, c),
+    with the operations search_certificate uses."""
     p11, p12, p22 = (
         v.ravel() for v in np.meshgrid(grid.p11, grid.p12, grid.p22, indexing="ij")
     )
@@ -375,20 +382,26 @@ def unpruned_search(alpha, beta, mu, L, grid, tol=1e-9):
     P3 = (len(p11), 1, 1)
     c0 = grid.c0.reshape(1, -1, 1)
     c = grid.c.reshape(1, 1, -1)
-    shape = (len(p11), len(grid.c0), len(grid.c))
-    zero_P = (p11 == 0.0) & (p12 == 0.0) & (p22 == 0.0)
-    vacuous = np.broadcast_to(zero_P[:, None, None] & (grid.c == 0.0)[None, None, :], shape)
-    if vacuous.all():
-        vacuous = np.zeros(shape, dtype=bool)
+    r2 = rho * rho
+    m11 = c0 * (2 * mu * L) + c * (x11 + (1 - r2) * 0.5 * mu) - (f11 - r2 * p11).reshape(P3)
+    m12 = c * x12 - (f12 - r2 * p12).reshape(P3)
+    m13 = c0 * (-(mu + L)) + c * (x13 + (1 - r2) * -0.5) - f13.reshape(P3)
+    m22 = c * x22 - (f22 - r2 * p22).reshape(P3)
+    m23 = c * x23 - f23.reshape(P3)
+    m33 = c0 * 2.0 + c * x33 - f33.reshape(P3)
+    return (p11, p12, p22), np.broadcast_arrays(m11, m12, m13, m22, m23, m33)
+
+
+def unpruned_search(alpha, beta, mu, L, grid, tol=1e-9):
+    """search_certificate as a full scan: the eigenvalues of every candidate
+    at every rate, with no candidate skipped; returns as_dict() or None."""
     for rho in np.sort(grid.rho):
-        r2 = rho * rho
-        m11 = c0 * (2 * mu * L) + c * (x11 + (1 - r2) * 0.5 * mu) - (f11 - r2 * p11).reshape(P3)
-        m12 = c * x12 - (f12 - r2 * p12).reshape(P3)
-        m13 = c0 * (-(mu + L)) + c * (x13 + (1 - r2) * -0.5) - f13.reshape(P3)
-        m22 = c * x22 - (f22 - r2 * p22).reshape(P3)
-        m23 = c * x23 - f23.reshape(P3)
-        m33 = c0 * 2.0 + c * x33 - f33.reshape(P3)
-        lo, _, _ = _sym3_eigvals_parts(m11, m12, m13, m22, m23, m33)
+        (p11, p12, p22), m = grid_entries(alpha, beta, mu, L, grid, rho)
+        zero_P = (p11 == 0.0) & (p12 == 0.0) & (p22 == 0.0)
+        vacuous = np.broadcast_to(zero_P[:, None, None] & (grid.c == 0.0), m[0].shape)
+        if vacuous.all():
+            vacuous = np.zeros(m[0].shape, dtype=bool)
+        lo, _, _ = _sym3_eigvals_parts(*m)
         iP, ic0, ic = np.nonzero((lo >= -tol) & ~vacuous)
         if len(iP) == 0:
             continue
@@ -429,6 +442,88 @@ def test_search_equals_unpruned_scan(inputs, which):
     cert = search_certificate(alpha, beta, mu, L, grid)
     want = unpruned_search(alpha, beta, mu, L, grid)
     assert repr(None if cert is None else cert.as_dict()) == repr(want)
+
+
+@given(search_inputs, st.sampled_from(["default", "small"]))
+@example((1.0, 1.0, 0.0, 0.5), "default")
+def test_compaction_keeps_every_candidate_some_rate_admits(inputs, which):
+    L, alpha_L, beta, ratio = inputs
+    alpha, mu = alpha_L / L, ratio * L
+    grid = CertificateGrid.default() if which == "default" else SMALL_GRID
+    cand = _compact(alpha, beta, mu, L, grid, 1e-9)
+    # brute force: the candidates whose diagonal passes the cut at some rate
+    admitted = False
+    for rho in grid.rho:
+        _, (m11, _, _, m22, _, m33) = grid_entries(alpha, beta, mu, L, grid, rho)
+        admitted = admitted | ((m11 >= cand.cut) & (m22 >= cand.cut) & (m33 >= cand.cut))
+    kept = np.zeros(admitted.shape, dtype=bool)
+    kept[cand.index] = True
+    assert not np.any(admitted & ~kept)
+    # flattened in grid order, so ties still break toward the first candidate
+    assert np.all(np.diff(np.ravel_multi_index(cand.index, admitted.shape)) > 0)
+
+
+# One-candidate problems (alpha, beta, mu, L, rho, p11, p12, p22, c0, c) on
+# which the 2x2 principal minor over rows (1, 2), (1, 3), (2, 3) in turn is
+# below every diagonal entry and every other such minor, so that it alone
+# decides whether the search prunes the candidate.
+BINDING_MINOR = [
+    (0.5, 0.9, 0.8, 1.0, 0.99, 1.0, -3.0, 10.0, 1.0, 0.1),
+    (0.1, 0.3, 0.8, 1.0, 0.9, 1.0, 0.3, 1.0, 10.0, 0.1),
+    (1.5, 0.3, 0.8, 1.0, 0.5, 0.1, 0.0, 0.1, 10.0, 10.0),
+]
+# The same, with that minor also within 1e-4 of the smallest eigenvalue:
+# the third row (minor over rows 1, 2) or the second (the other two) is
+# nearly decoupled from the rest.
+TIGHT_MINOR = [
+    (0.01, 0.01, 0.05, 1.0, 0.8, 0.1, -3.0, 100.0, 0.01, 0.1),
+    (1.5, 0.0, 0.3, 1.0, 0.8, 1.0, 0.0, 100.0, 1.0, 0.01),
+    (1.5, 0.3, 0.8, 1.0, 0.99, 0.1, 0.01, 0.01, 10.0, 10.0),
+]
+# (diagonal, diagonal, off-diagonal) positions in (m11, m12, m13, m22, m23, m33)
+MINOR_ROWS = [(0, 3, 1), (0, 5, 2), (3, 5, 4)]
+
+
+def one_candidate(case, pair):
+    """The problem, its one-candidate grid, the six entries as the search
+    computes them, and the chosen minor after checking that it decides."""
+    alpha, beta, mu, L, rho, p11, p12, p22, c0, c = case
+    grid = CertificateGrid(*(np.array([v]) for v in (rho, p11, p12, p22, c0, c)))
+    _, m = grid_entries(alpha, beta, mu, L, grid, grid.rho[0])
+    m = [v.ravel() for v in m]
+    minors = [_sym2_min(m[i], m[j], m[k])[0] for i, j, k in MINOR_ROWS]
+    others = [m[0][0], m[3][0], m[5][0], *minors[:pair], *minors[pair + 1:]]
+    assert minors[pair] < min(others)
+    return (alpha, beta, mu, L), grid, m, minors[pair]
+
+
+@pytest.mark.parametrize("pair", range(3))
+@pytest.mark.parametrize("ulps", range(-3, 4))
+def test_search_minor_within_ulps_of_cut(pair, ulps):
+    problem, grid, m, minor = one_candidate(BINDING_MINOR[pair], pair)
+    # a tol that puts the search's cut = -tol - delta a few ulps from the minor
+    delta = _PRUNE_MARGIN * max(max(abs(v[0]) for v in m), 1.0)
+    ulp = np.spacing(abs(minor))
+    tol = -(minor + ulps * ulp) - delta
+    assert abs((-tol - delta) - minor) <= (abs(ulps) + 2) * ulp
+    # the smallest eigenvalue is at most the minor, far below -tol: pruned or
+    # solved, the candidate is infeasible
+    assert search_certificate(*problem, grid, tol) is None
+    assert unpruned_search(*problem, grid, tol) is None
+
+
+@pytest.mark.parametrize("pair", range(3))
+@pytest.mark.parametrize("ulps", range(-2, 3))
+def test_search_feasibility_boundary_at_a_tight_minor(pair, ulps):
+    problem, grid, m, minor = one_candidate(TIGHT_MINOR[pair], pair)
+    lo = _sym3_eigvals_parts(*m)[0][0]
+    assert abs(minor - lo) < 1e-4
+    # feasible exactly when ulps >= 0; a minor test that cut too high would
+    # prune the candidate anyway
+    tol = -lo + ulps * np.spacing(abs(lo))
+    got = search_certificate(*problem, grid, tol)
+    assert repr(None if got is None else got.as_dict()) == repr(unpruned_search(*problem, grid, tol))
+    assert (got is not None) == (ulps >= 0)
 
 
 # ---------------------------------------------------------------------------

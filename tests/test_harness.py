@@ -599,9 +599,14 @@ def test_cli_summarize_trace_outside_grid(tmp_path, capsys):
     trace = run("dp-gd", obj, hp, sched, account, RngStream(1), np.zeros(obj.d), fstar=0.0)
     trace.to_csv(tmp_path / "dp-gd.csv")
     capsys.readouterr()
-    assert main(["summarize", "--traces", str(tmp_path)]) == 0
-    header, row = capsys.readouterr().out.strip().splitlines()
+    svg_dir = tmp_path / "svg"
+    assert main(["summarize", "--traces", str(tmp_path), "--svg", str(svg_dir)]) == 0
+    header, row = capsys.readouterr().out.strip().splitlines()[:2]
     assert row.split()[:4] == ["dp-gd", str(obj.n), "-", str(T)]
+    # the plot, too, says "-" where the cell has no c
+    assert [p.name for p in svg_dir.iterdir()] == [f"curves_m{obj.n}_c-.svg"]
+    text = (svg_dir / f"curves_m{obj.n}_c-.svg").read_text()
+    assert f"m={obj.n}, c=-" in text and "None" not in text
 
 
 def test_cli_summarize_empty_dir_exits(tmp_path):

@@ -1,6 +1,8 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpaccel.privacy_core import (
@@ -256,6 +258,56 @@ def test_per_iteration_epsilon_round_trips_through_epsilon_of(epsilon, T, n, m_f
     # the scale whose base leak S/(b m) is eps0 leaks epsilon / T once amplified
     back = epsilon_of(S, S / (m * eps0), n, m)
     assert back == pytest.approx(epsilon / T, rel=1e-12)
+
+
+def balle_amplified_epsilon(S: float, b: float, n: int, m: int) -> tuple[Decimal, Decimal]:
+    """Without-replacement amplification of a Laplace release, at 50 digits.
+
+    Balle, Barthe & Gaboardi (NeurIPS 2018), substitution neighbours: a
+    release with leak eps0 = S / (b m) on a uniform m-of-n subsample leaks
+    ln(1 + (m/n) (e^eps0 - 1)).  Returns that leak and its relative
+    condition number in eps0, eps0 (m/n) e^eps0 / ((1 + y) ln(1 + y)) with
+    y = (m/n) (e^eps0 - 1).
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        eps0 = Decimal(S) / (Decimal(b) * m)
+        ratio = Decimal(m) / Decimal(n)
+        y = ratio * (eps0.exp() - 1)
+        leak = (1 + y).ln()
+        return leak, eps0 * ratio * eps0.exp() / ((1 + y) * leak)
+
+
+# How far epsilon_of may sit from the 50-digit value: 4 + kappa ulps, kappa
+# the relative condition number above.  Forming eps0 = S / (b m) rounds
+# twice, a relative error of at most 2u that the formula scales by kappa
+# (kappa <= 1 + eps0, and about 9 at most for n <= 10^6); expm1,
+# the product by m/n, log1p and the large-eps0 rearrangement add a few
+# more.  Measured worst over 48,000 random points with n up to 10^9: 7.6
+# ulps at kappa = 17.5.
+_BALLE_BASE_ULPS = 4
+
+
+@settings(max_examples=300)
+@given(
+    st.floats(-12.0, 3.0),
+    st.floats(1e-3, 1e3),
+    st.sampled_from([100, 10_000, 10**6]),
+    st.sampled_from(["1", "n/100", "n/10", "n-1", "n"]),
+)
+@example(3.0, 1.0, 10_000, "1")  # eps0 = 1000, far above _EXP_OVERFLOW = 700
+@example(np.log10(700.0), 1.0, 10_000, "n/10")  # at the switch
+@example(np.log10(700.5), 0.7, 10**6, "1")  # just above it
+@example(-12.0, 1.0, 100, "n-1")  # eps0 = 1e-12
+def test_epsilon_of_matches_balle_amplification(log_eps0, b, n, which):
+    m = {"1": 1, "n/100": n // 100, "n/10": n // 10, "n-1": n - 1, "n": n}[which]
+    S = 10.0**log_eps0 * b * m
+    got = epsilon_of(S, b, n, m)
+    want, kappa = balle_amplified_epsilon(S, b, n, m)
+    ulp = Decimal(float(np.spacing(float(want))))
+    assert abs(Decimal(got) - want) <= (_BALLE_BASE_ULPS + kappa) * ulp
+    if m == n:
+        assert got == S / (b * n)
 
 
 def test_epsilon_validation():
