@@ -30,7 +30,6 @@ from .certification import (
     quadratic_bound,
     quadratic_rate,
     search_certificate,
-    sym3_eigvals,
 )
 from .harness import (
     ExperimentConfig,

@@ -7,9 +7,9 @@ form and two interpolation constraints) positive semidefinite.  Feasible
 certificates turn into computable suboptimality bounds whose additive term
 scales with the per-iteration noise level.
 
-All 3x3 eigenvalues use an explicit symmetric closed form, about 10x
-faster than batched np.linalg.eigvalsh; near the degenerate (repeated-root)
-regime, where it loses accuracy, one batched eigvalsh call takes over.
+All 3x3 eigenvalues come from stacked np.linalg.eigvalsh calls.  LAPACK
+solves each matrix of a stack on its own, so a matrix's eigenvalues do not
+depend on the other matrices sent with it.
 
 The search prunes candidates in three ways, and none can change its
 answer.  Each rests on a margin below the feasibility threshold -tol.
@@ -20,15 +20,11 @@ eigenvalue is at most each of its diagonal entries (interlacing), so such a
 candidate's exact smallest eigenvalue is below -tol - delta too.
 delta = _PRUNE_MARGIN * max(1, S), with S the largest |entry| of any
 candidate at any grid rate, bounds the computed smallest eigenvalue's
-absolute error.  Outside the fallback regime arccos amplifies the few-ulp
-rounding of its argument at most 1/sqrt(_DEGENERATE_DISC) = 1e7 times,
-about 1e-8 of the matrix scale (measured: at most 2.8e-9 of
-max(1, largest |entry|) on 2e6 nearly degenerate random matrices).  Inside
-it, eigvalsh is backward stable, so its error is a small multiple of the
-unit roundoff times the matrix norm, about 1e-15 of the scale.
-_PRUNE_MARGIN ~ 9.5e-7 is far above both.  The computed eigenvalue of a
-skipped candidate is therefore below -tol, and the unpruned search
-rejects it as well.
+absolute error: eigvalsh is backward stable, so that error is a small
+multiple of the unit roundoff u = 2^-53 times the matrix norm, itself at
+most 3 S, about 1e-15 of the scale.  _PRUNE_MARGIN ~ 9.5e-7 is far above
+it.  The computed eigenvalue of a skipped candidate is therefore below
+-tol, and the unpruned search rejects it as well.
 
 2x2 principal minors.  By Cauchy interlacing the smallest eigenvalue of a
 symmetric matrix is also at most the smallest eigenvalue of each of its
@@ -36,9 +32,9 @@ symmetric matrix is also at most the smallest eigenvalue of each of its
 (a + c)/2 - sqrt(((a - c)/2)^2 + b^2), whose rounding is a few ulps of
 max(|a|, |b|, |c|) <= S, about 1e-15 S.  A candidate with one such value
 below cut has an exact smallest eigenvalue below -tol - delta + 1e-15 S,
-so its computed one is below -tol, by the same margin as above.  (Entries
-whose squares overflow, above 1e154, are out of reach of the 3x3 closed
-form as well.)
+so its computed one is below -tol, by the same margin as above.  (The
+squares overflow for entries above about 1e154, where a minor reads -inf
+and prunes a candidate eigvalsh could admit.)
 
 Compaction.  m33 does not depend on the rate, and m11 and m22 are affine
 in r2 = rho^2, so over the grid an exact m11 or m22 is largest at the
@@ -54,9 +50,9 @@ cut - margin, a few u |cut|), which is below cut: the candidate fails the
 diagonal test at every rate.  _COMPACT_MARGIN = 2^-40 ~ 9.1e-13 is more
 than 100 times 60 u.
 
-The survivors keep their grid order, and their entries and eigenvalues are
-computed elementwise by the same operations, so they are bitwise those of
-the unpruned search, and so is the tie-break among them.
+The survivors keep their grid order, and their entries are computed
+elementwise by the same operations, so they and their eigenvalues are
+bitwise those of the unpruned search, and so is the tie-break among them.
 """
 
 from __future__ import annotations
@@ -65,11 +61,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Below this relative discriminant the trigonometric closed form loses
-# accuracy (nearly repeated roots) and LAPACK takes over.
-_DEGENERATE_DISC = 1e-14
-# Bound on the closed form's absolute error in the smallest eigenvalue, as
-# a multiple of max(1, largest |entry|); see the module docstring.
+# Bound on eigvalsh's absolute error in the smallest eigenvalue, as a
+# multiple of max(1, largest |entry|); see the module docstring.
 _PRUNE_MARGIN = 2.0**-20
 # Margin for the rounding of a diagonal entry, as a multiple of the largest
 # |term| it sums; see the module docstring.
@@ -81,65 +74,12 @@ _COMPACT_MARGIN = 2.0**-40
 
 
 def _sym3_eigvals_parts(a11, a12, a13, a22, a23, a33):
-    """Vectorized ascending eigenvalues from the six unique entries.
-
-    Trigonometric solution of the characteristic cubic; entries whose
-    depressed-cubic discriminant is within _DEGENERATE_DISC of zero are
-    recomputed together by np.linalg.eigvalsh.
-    """
-    parts = [np.asarray(v, dtype=float) for v in (a11, a12, a13, a22, a23, a33)]
-    if len({v.shape for v in parts}) > 1:
-        parts = np.broadcast_arrays(*parts)
-    a11, a12, a13, a22, a23, a33 = parts
-    q = (a11 + a22 + a33) / 3.0
-    p1 = a12**2 + a13**2 + a23**2
-    p2 = (a11 - q) ** 2 + (a22 - q) ** 2 + (a33 - q) ** 2 + 2.0 * p1
-    scale = np.abs(a11)
-    for v in (a12, a13, a22, a23, a33):
-        scale = np.maximum(scale, np.abs(v))
-    p = np.sqrt(np.maximum(p2, 0.0) / 6.0)
-    safe_p = np.where(p > 0, p, 1.0)
-    b11 = (a11 - q) / safe_p
-    b22 = (a22 - q) / safe_p
-    b33 = (a33 - q) / safe_p
-    b12 = a12 / safe_p
-    b13 = a13 / safe_p
-    b23 = a23 / safe_p
-    detb = (
-        b11 * (b22 * b33 - b23**2)
-        - b12 * (b12 * b33 - b23 * b13)
-        + b13 * (b12 * b23 - b22 * b13)
-    )
-    r = np.clip(detb / 2.0, -1.0, 1.0)
-    phi = np.arccos(r) / 3.0
-    e_hi = q + 2.0 * p * np.cos(phi)
-    e_lo = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
-    e_mid = 3.0 * q - e_hi - e_lo
-
-    lo, mid, hi = np.atleast_1d(e_lo, e_mid, e_hi)
-    # multiple of identity: exact, and (1 - r^2) is meaningless there
-    iso = np.atleast_1d(p2 <= (1e-30 * np.maximum(scale, 1.0) ** 2))
-    if np.count_nonzero(iso):
-        lo[iso] = mid[iso] = hi[iso] = np.broadcast_to(q, lo.shape)[iso]
-    degenerate = np.atleast_1d((1.0 - r**2) < _DEGENERATE_DISC) & ~iso
-    if np.count_nonzero(degenerate):
-        a = [np.atleast_1d(v)[degenerate] for v in (a11, a12, a13, a22, a23, a33)]
-        M = np.stack([a[0], a[1], a[2], a[1], a[3], a[4], a[2], a[4], a[5]], axis=-1)
-        lo[degenerate], mid[degenerate], hi[degenerate] = np.linalg.eigvalsh(M.reshape(-1, 3, 3)).T
-    if np.ndim(a11) == 0:
-        return float(lo[0]), float(mid[0]), float(hi[0])
-    return lo, mid, hi
-
-
-def sym3_eigvals(M: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of one symmetric 3x3 matrix."""
-    M = np.asarray(M, dtype=float)
-    if M.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {M.shape}")
-    lo, mid, hi = _sym3_eigvals_parts(
-        M[0, 0], M[0, 1], M[0, 2], M[1, 1], M[1, 2], M[2, 2]
-    )
-    return np.array([lo, mid, hi])
+    """Ascending eigenvalues (lo, mid, hi) of the symmetric 3x3 matrices
+    with the given, broadcast, unique entries, by one stacked eigvalsh."""
+    a11, a12, a13, a22, a23, a33 = np.broadcast_arrays(a11, a12, a13, a22, a23, a33)
+    M = np.stack((a11, a12, a13, a12, a22, a23, a13, a23, a33), axis=-1)
+    w = np.linalg.eigvalsh(M.reshape(M.shape[:-1] + (3, 3)))
+    return tuple(np.moveaxis(w, -1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +157,8 @@ def check_certificate(M: np.ndarray, tol: float = 1e-9) -> tuple[bool, float]:
         raise ValueError(f"expected a 3x3 matrix, got shape {M.shape}")
     if np.abs(M - M.T).max() > 1e-9 * max(1.0, np.abs(M).max()):
         raise ValueError("certificate matrix must be symmetric")
-    M = 0.5 * (M + M.T)
-    lo = sym3_eigvals(M)[0]
-    return bool(lo >= -tol), float(lo)
+    lo = float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
+    return bool(lo >= -tol), lo
 
 
 @dataclass
@@ -388,11 +327,16 @@ def search_certificate(
     """
     if not 0 < mu <= L:
         raise ValueError(f"need 0 < mu <= L, got mu={mu}, L={L}")
-    if alpha <= 0 or not 0 <= beta < 1:
-        raise ValueError("need alpha > 0 and 0 <= beta < 1")
+    if not 0 < alpha < np.inf or not 0 <= beta < 1:
+        raise ValueError("need a finite alpha > 0 and 0 <= beta < 1")
     grid = grid or CertificateGrid.default()
-    if any(len(v) == 0 for v in (grid.rho, grid.p11, grid.p12, grid.p22, grid.c0, grid.c)):
+    values = (grid.rho, grid.p11, grid.p12, grid.p22, grid.c0, grid.c)
+    if any(len(v) == 0 for v in values):
         raise ValueError("empty certificate grid")
+    if not all(np.isfinite(v).all() for v in values):
+        raise ValueError("certificate grid entries must be finite")
+    if np.any(grid.rho <= 0) or np.any(grid.c0 < 0) or np.any(grid.c < 0):
+        raise ValueError("need rho > 0, c0 >= 0 and c >= 0 on the grid")
 
     cand = _compact(alpha, beta, mu, L, grid, tol)
     cut, P, c, m23, m33 = cand.cut, cand.P, cand.c, cand.m23, cand.m33

@@ -1,5 +1,6 @@
 """Certificate assembly, grid search, and quadratic rate reports."""
 
+import dataclasses
 import json
 import warnings
 
@@ -19,7 +20,6 @@ from dpaccel.certification import (
     quadratic_bound,
     quadratic_rate,
     search_certificate,
-    sym3_eigvals,
 )
 from dpaccel.certification import (
     _PRUNE_MARGIN,
@@ -29,71 +29,44 @@ from dpaccel.certification import (
     _sym3_eigvals_parts,
 )
 
-# np.linalg.eigvalsh serves as the eigenvalue oracle throughout; the library
-# calls it only on the matrices its closed form flags as nearly degenerate.
-
-
 # ---------------------------------------------------------------------------
-# sym3_eigvals
+# _sym3_eigvals_parts
 
 
 def test_sym3_matches_lapack_on_random():
+    # the six entries, scalar or broadcast, make the matrix eigvalsh solves
     rng = np.random.default_rng(0)
-    for _ in range(300):
-        scale = 10.0 ** rng.integers(-6, 7)
-        G = rng.normal(size=(3, 3)) * scale
-        M = 0.5 * (G + G.T)
-        got = sym3_eigvals(M)
-        want = np.linalg.eigvalsh(M)
-        assert np.all(np.diff(got) >= 0)
-        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12 * scale)
+    G = rng.normal(size=(300, 3, 3)) * 10.0 ** rng.integers(-6, 7, (300, 1, 1))
+    M = 0.5 * (G + G.transpose(0, 2, 1))
+    want = np.linalg.eigvalsh(M)
+    parts = [M[:, i, j] for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))]
+    for i in range(0, 300, 30):
+        assert list(_sym3_eigvals_parts(*(float(v[i]) for v in parts))) == want[i].tolist()
+    got = _sym3_eigvals_parts(np.stack([parts[0], parts[0]]), *parts[1:])
+    for g in np.stack(got, axis=-1):
+        assert np.array_equal(g, want)
 
 
-def test_sym3_identity_multiples_exact():
-    for c in (0.0, 1.0, -1.0, 3.7e9, 1e-12):
-        got = sym3_eigvals(c * np.eye(3))
-        assert got.tolist() == [c, c, c]
-
-
-def test_sym3_repeated_eigenvalues():
-    # rotated diag(a, a, b): the closed form degenerates, eigvalsh takes over
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        a, b = rng.normal(size=2)
-        Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        M = Q @ np.diag([a, a, b]) @ Q.T
-        M = 0.5 * (M + M.T)
-        got = sym3_eigvals(M)
-        want = np.linalg.eigvalsh(M)
-        np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-9)
-
-
-def test_sym3_nearly_repeated_matches_lapack(monkeypatch):
-    # rotated diag(a, a(1 +- delta), b) with delta from 1e-16 to 1e-6 lies on
-    # both sides of the threshold where the closed form hands over to eigvalsh
+def test_sym3_nearly_repeated_matches_lapack():
+    # rotated diag(a, a(1 +- delta), b) with delta from 1e-16 to 1e-6: every
+    # matrix gets bitwise the same eigenvalues in any batch, as the pruned
+    # search's small batches and the unpruned reference's whole grid must
     rng = np.random.default_rng(7)
-    k = 2000
+    k = 5000
     a, b = rng.uniform(-10.0, 10.0, (2, k))
     delta = rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(-16.0, -6.0, k)
     Q = np.linalg.qr(rng.normal(size=(k, 3, 3)))[0]
     M = np.einsum("kij,kj,klj->kil", Q, np.stack([a, a * (1 + delta), b], axis=1), Q)
     M = 0.5 * (M + M.transpose(0, 2, 1))
-    want = np.linalg.eigvalsh(M)
-    eigvalsh, handed_over = np.linalg.eigvalsh, []
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: handed_over.append(len(A)) or eigvalsh(A))
-    got = np.stack(
-        _sym3_eigvals_parts(M[:, 0, 0], M[:, 0, 1], M[:, 0, 2], M[:, 1, 1], M[:, 1, 2], M[:, 2, 2]),
-        axis=1,
-    )
-    assert 0 < sum(handed_over) < k
-    # the closed form's error near the threshold is about 1e-9 of the scale
-    scale = np.abs(M).max(axis=(1, 2))[:, None]
-    assert np.all(np.abs(got - want) <= 1e-8 * scale)
-
-
-def test_sym3_rejects_bad_shape():
-    with pytest.raises(ValueError):
-        sym3_eigvals(np.eye(2))
+    parts = (M[:, 0, 0], M[:, 0, 1], M[:, 0, 2], M[:, 1, 1], M[:, 1, 2], M[:, 2, 2])
+    whole = np.stack(_sym3_eigvals_parts(*parts), axis=1)
+    assert np.array_equal(whole, np.linalg.eigvalsh(M))
+    for size in (1, 3, 221):
+        got = np.concatenate([
+            np.stack(_sym3_eigvals_parts(*(v[i:i + size] for v in parts)), axis=1)
+            for i in range(0, k, size)
+        ])
+        assert np.array_equal(got, whole)
 
 
 # ---------------------------------------------------------------------------
@@ -350,14 +323,19 @@ def test_search_validation():
         search_certificate(1.0, 0.0, 2.0, 1.0)
     with pytest.raises(ValueError):
         search_certificate(1.0, 1.0, 0.5, 1.0)
-    with pytest.raises(ValueError):
-        search_certificate(0.0, 0.0, 0.5, 1.0)
-    g = CertificateGrid(
-        rho=np.array([]), p11=np.array([1.0]), p12=np.array([0.0]),
-        p22=np.array([1.0]), c0=np.array([1.0]), c=np.array([1.0]),
-    )
-    with pytest.raises(ValueError):
-        search_certificate(1.0, 0.0, 0.5, 1.0, grid=g)
+    for alpha in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            search_certificate(alpha, 0.0, 0.5, 1.0)
+    # unchecked, these grids gave a certificate at rho = -0.71 or with c0 = -1,
+    # or None where rho = 0.9 certifies
+    for field, bad in [
+        ("rho", []), ("rho", [-0.71, 0.9]), ("rho", [0.0, 0.9]), ("rho", [np.nan, 0.9]),
+        ("rho", [np.inf]), ("p11", [np.nan, 1.0]), ("p12", [np.inf, 0.0]),
+        ("c0", [-1.0, 1.0]), ("c", [-1.0, 1.0]), ("c", [np.nan, 1.0]),
+    ]:
+        g = dataclasses.replace(CertificateGrid.default(), **{field: np.array(bad)})
+        with pytest.raises(ValueError):
+            search_certificate(1.0, 0.0, 0.5, 1.0, grid=g)
 
 
 def grid_entries(alpha, beta, mu, L, grid, rho):
