@@ -23,9 +23,7 @@ from .certification import (
     CertificateGrid,
     QuadraticRateReport,
     certificate_matrix,
-    check_certificate,
     eval_shb_bound,
-    lyapunov_value,
     noise_bound,
     quadratic_bound,
     quadratic_rate,
@@ -55,7 +53,6 @@ from .optimizers import (
     masg_stage_schedule,
     nesterov_momentum,
     polyak_momentum,
-    polyak_stepsize,
     run,
 )
 from .privacy_core import (

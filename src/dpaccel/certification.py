@@ -32,9 +32,12 @@ symmetric matrix is also at most the smallest eigenvalue of each of its
 (a + c)/2 - sqrt(((a - c)/2)^2 + b^2), whose rounding is a few ulps of
 max(|a|, |b|, |c|) <= S, about 1e-15 S.  A candidate with one such value
 below cut has an exact smallest eigenvalue below -tol - delta + 1e-15 S,
-so its computed one is below -tol, by the same margin as above.  (The
-squares overflow for entries above about 1e154, where a minor reads -inf
-and prunes a candidate eigvalsh could admit.)
+so its computed one is below -tol, by the same margin as above.  The
+squares stay finite because the search rejects, with a ValueError, a
+problem whose largest |P entry| or largest |entry| S reaches
+_SCALE_LIMIT = 2^510 ~ 3.4e153: below it each square, and each product in
+the PSD test p11 p22 - p12^2, is under 2^1020, and a sum of two is under
+2^1021, far from float64's 2^1024.
 
 Compaction.  m33 does not depend on the rate, and m11 and m22 are affine
 in r2 = rho^2, so over the grid an exact m11 or m22 is largest at the
@@ -67,6 +70,9 @@ _PRUNE_MARGIN = 2.0**-20
 # Margin for the rounding of a diagonal entry, as a multiple of the largest
 # |term| it sums; see the module docstring.
 _COMPACT_MARGIN = 2.0**-40
+# Largest |P entry| and |matrix entry| whose squares cannot overflow; see
+# the module docstring.
+_SCALE_LIMIT = 2.0**510
 
 
 # ---------------------------------------------------------------------------
@@ -148,17 +154,6 @@ def certificate_matrix(
     )
     X2 = 0.5 * np.array([[mu, 0.0, -1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
     return c0 * X0 + c * (X1 + (1.0 - rho**2) * X2) - phi
-
-
-def check_certificate(M: np.ndarray, tol: float = 1e-9) -> tuple[bool, float]:
-    """PSD test with slack: returns (min eigenvalue >= -tol, min eigenvalue)."""
-    M = np.asarray(M, dtype=float)
-    if M.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {M.shape}")
-    if np.abs(M - M.T).max() > 1e-9 * max(1.0, np.abs(M).max()):
-        raise ValueError("certificate matrix must be symmetric")
-    lo = float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
-    return bool(lo >= -tol), lo
 
 
 @dataclass
@@ -247,9 +242,20 @@ def _rate_entries(coef, r2, c0, c, P):
     return m11, m12, m13, m22
 
 
+def _check_scale(what: str, largest: float) -> None:
+    """Raise a ValueError when `largest`, the largest |entry| of one kind,
+    reaches _SCALE_LIMIT or is not a number (an entry that overflowed)."""
+    if not largest < _SCALE_LIMIT:
+        raise ValueError(
+            f"largest |{what}| {largest:.3g} reaches the certificate search's "
+            f"limit 2^510 ~ {_SCALE_LIMIT:.3g}; rescale P, c0 and c"
+        )
+
+
 def _compact(alpha, beta, mu, L, grid: CertificateGrid, tol: float) -> _Candidates:
     """The search's cut, and every candidate whose diagonal can pass it at
     some grid rate (see the module docstring for the margins)."""
+    _check_scale("P entry", max(np.abs(v).max() for v in (grid.p11, grid.p12, grid.p22)))
     p11, p12, p22 = np.meshgrid(grid.p11, grid.p12, grid.p22, indexing="ij")
     p11, p12, p22 = (v.ravel() for v in (p11, p12, p22))
     psd = (p11 >= 0) & (p22 >= 0) & (p11 * p22 - p12**2 >= 0)
@@ -281,6 +287,7 @@ def _compact(alpha, beta, mu, L, grid: CertificateGrid, tol: float) -> _Candidat
     r2_ends = (r2s.min(), r2s.max())
     ends = [_rate_entries(coef, r2, c0v, cv, P[:, :, None, None]) for r2 in r2_ends]
     entry_max = max(np.abs(m).max() for m in (m23, m33, *ends[0], *ends[1]))
+    _check_scale("matrix entry", entry_max)
     cut = -tol - _PRUNE_MARGIN * max(entry_max, 1.0)
     cmax = np.abs(grid.c).max()
     term_max = max(  # the terms m11 and m22 sum, at the extreme rates
@@ -369,17 +376,6 @@ def search_certificate(
             noise_amplification=float(amp[j]),
         )
     return None
-
-
-def lyapunov_value(P: np.ndarray, c: float, x0, x_prev, xstar, f_gap: float) -> float:
-    """Initial Lyapunov weight: stacked quadratic form plus c * (F(x0) - F*)."""
-    P = np.asarray(P, dtype=float)
-    e0 = np.asarray(x0, dtype=float) - np.asarray(xstar, dtype=float)
-    e1 = np.asarray(x_prev, dtype=float) - np.asarray(xstar, dtype=float)
-    quad = P[0, 0] * (e0 @ e0) + 2.0 * P[0, 1] * (e0 @ e1) + P[1, 1] * (e1 @ e1)
-    if f_gap < 0:
-        raise ValueError("F(x0) - F* cannot be negative")
-    return float(quad + c * f_gap)
 
 
 def eval_shb_bound(

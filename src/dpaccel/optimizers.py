@@ -1,15 +1,21 @@
 """First-order iterations with per-iteration Laplace privacy noise.
 
-One driver runs all variants: plain gradient descent, heavy ball (two
-algebraically equivalent forms), Nesterov momentum, and a multi-stage
-Nesterov scheme in the style of Aybat, Fallah, Gurbuzbalaban & Ozdaglar
-(NeurIPS 2019).  Its stepsize drops 16x at the first stage boundary
-(c/L -> c/16L) and 4x at each later one, and every stage restarts its
-momentum from the last iterate of the stage before.  Gradient noise scales
-come from a NoiseSchedule; every release's leak is charged to a
-PrivacyAccount as it happens.  Every per-step cost is O(1) in the step
-index; the logged objective is evaluated once, over all iterates, after the
-loop.
+run() carries every variant: plain gradient descent, heavy ball,
+Nesterov momentum, and a multi-stage Nesterov scheme in the style of
+Aybat, Fallah, Gurbuzbalaban & Ozdaglar (NeurIPS 2019).
+
+dp-hb is the paper's heavy ball with a smoothed gradient average,
+reparametrised.  The smoothed form ubar_t = beta ubar_{t-1} + (1 - beta) g_t,
+x_{t+1} = x_t - alpha/(1 - beta) ubar_t from ubar_{-1} = 0 gives the same
+iterates as x_{t+1} = x_t - alpha g_t + beta (x_t - x_{t-1}) from
+x_{-1} = x_0; acceptance test 11 replays the smoothed form against dp-hb.
+
+dp-masg's stepsize drops 16x at the first stage boundary (c/L -> c/16L)
+and 4x at each later one, and every stage restarts its momentum from the
+last iterate of the stage before.  Gradient noise scales come from a
+NoiseSchedule; every release's leak is charged to a PrivacyAccount as it
+happens.  Every per-step cost is O(1) in the step index; the logged
+objective is evaluated once, over all iterates, after the loop.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from .privacy_core import (
     laplace_sample,
 )
 
-ALGORITHMS = ("dp-gd", "dp-hb", "dp-hb-avg", "dp-nag", "dp-masg")
+ALGORITHMS = ("dp-gd", "dp-hb", "dp-nag", "dp-masg")
 
 # Rows Trace.to_csv formats per write: enough to amortise the call, few
 # enough that the chunk's strings add little to peak memory.
@@ -43,12 +49,6 @@ def polyak_momentum(mu: float, L: float) -> float:
         raise ValueError(f"need 0 < mu <= L, got mu={mu}, L={L}")
     kappa = L / mu
     return ((np.sqrt(kappa) - 1) / (np.sqrt(kappa) + 1)) ** 2
-
-
-def polyak_stepsize(mu: float, L: float) -> float:
-    if not 0 < mu <= L:
-        raise ValueError(f"need 0 < mu <= L, got mu={mu}, L={L}")
-    return 4.0 / (np.sqrt(mu) + np.sqrt(L)) ** 2
 
 
 def nesterov_momentum(alpha, mu: float):
@@ -255,14 +255,12 @@ def run(
     else:
         segments = [(hp.T, float(hp.alpha), beta)]
     lookahead = algorithm in ("dp-nag", "dp-masg")
-    averaged = algorithm == "dp-hb-avg"
     n, m, d = obj.n, hp.m, obj.d
     subsampled = m < n
     subsample, gradient, spend = rng.subsample, obj.minibatch_gradient, account.spend
     b, eps = schedule.b, schedule.eps
 
     start = time.perf_counter()
-    ubar = np.zeros_like(x)
     iterates = np.empty((hp.T + 1, d))
     eps_cum = np.empty(hp.T + 1)
     iterates[0] = x
@@ -271,8 +269,7 @@ def run(
     first = 0
     for length, alpha_s, beta_s in segments:
         x_prev = x
-        one_plus, one_minus = 1.0 + beta_s, 1.0 - beta_s
-        avg_step = alpha_s / one_minus
+        one_plus = 1.0 + beta_s
         for t in range(first, first + length):
             idx = subsample(n, m) if subsampled else None
             point = one_plus * x - beta_s * x_prev if lookahead else x
@@ -282,10 +279,7 @@ def run(
                 g = g + laplace_sample(rng, b_t, d)
             eps_cum[t + 1] = spend(eps[t])
 
-            if averaged:
-                ubar = beta_s * ubar + one_minus * g
-                x_new = x - avg_step * ubar
-            elif lookahead:
+            if lookahead:
                 x_new = point - alpha_s * g
             else:
                 x_new = x - alpha_s * g + beta_s * (x - x_prev)

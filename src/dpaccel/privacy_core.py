@@ -192,11 +192,6 @@ class NoiseSchedule:
     def __len__(self) -> int:
         return len(self.b)
 
-    @classmethod
-    def off(cls, T: int) -> "NoiseSchedule":
-        """All-zero schedule for noise-free baseline runs."""
-        return cls(b=np.zeros(T), eps=np.zeros(T), provenance="off")
-
     @property
     def total_epsilon(self) -> float:
         return float(np.sum(self.eps))

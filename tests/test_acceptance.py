@@ -42,7 +42,6 @@ from dpaccel.optimizers import (
     masg_stage_schedule,
     nesterov_momentum,
     polyak_momentum,
-    polyak_stepsize,
     run,
 )
 from dpaccel.privacy_core import (
@@ -359,13 +358,13 @@ def test_acceptance_07_tuned_heavy_ball_rate_recovery():
     # noiseless heavy ball at the tuned stepsize/momentum on a conditioning-2
     # spectrum: fitted log-slope matches twice the log of the tuned rate
     mu, L = 0.5, 1.0
-    alpha = polyak_stepsize(mu, L)
+    alpha = 4.0 / (np.sqrt(mu) + np.sqrt(L)) ** 2
     beta = polyak_momentum(mu, L)
     obj = QuadraticObjective(np.diag([mu, L]))
     T = 160
     tr = run(
         "dp-hb", obj, HyperParams(alpha=alpha, T=T, m=1, beta=beta),
-        NoiseSchedule.off(T), PrivacyAccount(1.0, T, 1, 1), RngStream(7),
+        NoiseSchedule(np.zeros(T), np.zeros(T)), PrivacyAccount(1.0, T, 1, 1), RngStream(7),
         np.ones(2), obj.fstar,
     )
     w = np.arange(80, T + 1)
@@ -397,8 +396,8 @@ def test_acceptance_08_certificates_sound_against_simulation():
         T = 400
         tr = run(
             "dp-hb", obj, HyperParams(alpha=alpha, T=T, m=1, beta=beta),
-            NoiseSchedule.off(T), PrivacyAccount(1.0, T, 1, 1), RngStream(88),
-            np.ones(2), obj.fstar,
+            NoiseSchedule(np.zeros(T), np.zeros(T)), PrivacyAccount(1.0, T, 1, 1),
+            RngStream(88), np.ones(2), obj.fstar,
         )
         sub = tr.subopt
         good = np.flatnonzero(sub > 1e-280)  # stay clear of the denormal tail
@@ -457,9 +456,10 @@ def test_acceptance_10_stage_arithmetic_and_single_stage_equivalence():
     assert np.array_equal(a.subopt, b.subopt)
 
 
-def test_acceptance_11_momentum_form_equivalence():
-    # iterate-difference and smoothed-average heavy-ball forms agree to
-    # 1e-10 over 100 steps for random (alpha, beta) and shared noise
+def test_acceptance_11_momentum_form_equivalence(smoothed_heavy_ball):
+    # dp-hb (the iterate-difference form) and an independent replay of the
+    # smoothed-average form agree to 1e-10 over 100 steps for random
+    # (alpha, beta) and shared noise
     rng = np.random.default_rng(1111)
     T = 100
     for trial in range(5):
@@ -475,8 +475,6 @@ def test_acceptance_11_momentum_form_equivalence():
         a = run("dp-hb", obj, hp, sched,
                 PrivacyAccount(2.0, T, 1, 1), RngStream(1100 + trial),
                 x0, obj.fstar, record_iterates=True)
-        b = run("dp-hb-avg", obj, hp, sched,
-                PrivacyAccount(2.0, T, 1, 1), RngStream(1100 + trial),
-                x0, obj.fstar, record_iterates=True)
-        gap = float(np.max(np.abs(a.iterates - b.iterates)))
+        b = smoothed_heavy_ball(obj, alpha, beta, 1, sched, 1100 + trial, x0)
+        gap = float(np.max(np.abs(a.iterates - b)))
         assert gap <= 1e-10, f"trial {trial}: forms diverge by {gap:.3e}"

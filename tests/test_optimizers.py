@@ -14,7 +14,6 @@ from dpaccel.optimizers import (
     masg_stage_schedule,
     nesterov_momentum,
     polyak_momentum,
-    polyak_stepsize,
     run,
 )
 from dpaccel.privacy_core import NoiseSchedule, PrivacyAccount, RngStream, uniform_scale
@@ -32,8 +31,11 @@ def noisy_setup(T, b=0.5, n_records=None):
     return obj, sched, acct
 
 
+def no_noise(T):
+    return NoiseSchedule(b=np.zeros(T), eps=np.zeros(T))
+
+
 def test_momentum_formulas():
-    assert polyak_stepsize(0.5, 1.0) == pytest.approx(4 / (np.sqrt(0.5) + 1) ** 2)
     kappa = 2.0
     want = ((np.sqrt(kappa) - 1) / (np.sqrt(kappa) + 1)) ** 2
     assert polyak_momentum(0.5, 1.0) == pytest.approx(want)
@@ -51,7 +53,7 @@ def test_momentum_formulas():
 def test_gd_single_step():
     obj, _, _ = noisy_setup(1)
     hp = HyperParams(alpha=0.5, T=1, m=1)
-    trace = run("dp-gd", obj, hp, NoiseSchedule.off(1),
+    trace = run("dp-gd", obj, hp, no_noise(1),
                 PrivacyAccount(1.0, 1, 1, 1), RngStream(0), np.array([1.0]),
                 obj.fstar, record_iterates=True)
     assert trace.iterates[1] == pytest.approx(0.5)
@@ -62,7 +64,7 @@ def test_gd_contracts_per_step():
     Q = np.diag([0.5, 1.0, 1.5])
     obj = QuadraticObjective(Q)
     hp = HyperParams(alpha=1 / obj.L, T=30, m=1)
-    trace = run("dp-gd", obj, hp, NoiseSchedule.off(30), PrivacyAccount(1.0, 30, 1, 1),
+    trace = run("dp-gd", obj, hp, no_noise(30), PrivacyAccount(1.0, 30, 1, 1),
                 RngStream(0), np.array([2.0, -1.0, 0.5]), obj.fstar,
                 record_iterates=True)
     rate = 1 - obj.mu / obj.L
@@ -73,7 +75,7 @@ def test_gd_contracts_per_step():
 def test_hb_hand_recursion():
     obj = quad1d()
     hp = HyperParams(alpha=1.0, T=3, m=1, beta=0.5)
-    trace = run("dp-hb", obj, hp, NoiseSchedule.off(3), PrivacyAccount(1.0, 3, 1, 1),
+    trace = run("dp-hb", obj, hp, no_noise(3), PrivacyAccount(1.0, 3, 1, 1),
                 RngStream(0), np.array([1.0]), obj.fstar, record_iterates=True)
     assert trace.iterates[:, 0] == pytest.approx([1.0, 0.0, -0.5, -0.25], abs=1e-15)
 
@@ -82,28 +84,29 @@ def test_nag_hand_recursion():
     # alpha=1 on unit quadratic solves in one step; momentum keeps it there
     obj = quad1d()
     hp = HyperParams(alpha=1.0, T=3, m=1, beta=1 / 3)
-    trace = run("dp-nag", obj, hp, NoiseSchedule.off(3), PrivacyAccount(1.0, 3, 1, 1),
+    trace = run("dp-nag", obj, hp, no_noise(3), PrivacyAccount(1.0, 3, 1, 1),
                 RngStream(0), np.array([1.0]), obj.fstar, record_iterates=True)
     assert trace.iterates[:, 0] == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-15)
 
 
 def test_beta_zero_reductions():
-    # with beta=0, hb, hb-avg and nag all replay gd's trajectory bitwise
+    # with beta=0, hb and nag both replay gd's trajectory bitwise
     T = 50
     obj, sched, _ = noisy_setup(T)
     x0 = np.array([2.0])
     ref = run("dp-gd", obj, HyperParams(alpha=0.1, T=T, m=1), sched,
               PrivacyAccount(1.0, T, 1, 1), RngStream(11), x0, obj.fstar,
               record_iterates=True)
-    for algo in ("dp-hb", "dp-hb-avg", "dp-nag"):
+    for algo in ("dp-hb", "dp-nag"):
         tr = run(algo, obj, HyperParams(alpha=0.1, T=T, m=1, beta=0.0), sched,
                  PrivacyAccount(1.0, T, 1, 1), RngStream(11), x0, obj.fstar,
                  record_iterates=True)
         assert np.array_equal(tr.iterates, ref.iterates), algo
 
 
-def test_hb_smoothed_form_equivalence():
-    # the two heavy-ball forms agree to 1e-10 over 100 steps, shared noise
+def test_hb_smoothed_form_equivalence(smoothed_heavy_ball):
+    # dp-hb and an independent replay of the smoothed heavy-ball form agree
+    # to 1e-10 over 100 steps, shared noise
     rng = np.random.default_rng(0)
     for trial in range(10):
         alpha = rng.uniform(0.05, 1.0)
@@ -114,10 +117,8 @@ def test_hb_smoothed_form_equivalence():
         a = run("dp-hb", obj, HyperParams(alpha=alpha, T=T, m=1, beta=beta), sched,
                 PrivacyAccount(1.0, T, 1, 1), RngStream(trial), x0, obj.fstar,
                 record_iterates=True)
-        b = run("dp-hb-avg", obj, HyperParams(alpha=alpha, T=T, m=1, beta=beta), sched,
-                PrivacyAccount(1.0, T, 1, 1), RngStream(trial), x0, obj.fstar,
-                record_iterates=True)
-        assert np.max(np.abs(a.iterates - b.iterates)) < 1e-10
+        b = smoothed_heavy_ball(obj, alpha, beta, 1, sched, trial, x0)
+        assert np.max(np.abs(a.iterates - b)) < 1e-10
 
 
 def test_masg_stage_arithmetic():
@@ -170,7 +171,7 @@ def test_masg_momentum_tracks_stage_stepsize():
     stages = masg_stage_schedule(obj.mu, obj.L, 1.0, 1, 60)
     assert stages.stages >= 3
     hp = HyperParams(alpha=stages.alphas[0], T=60, m=1, stages=stages)
-    trace = run("dp-masg", obj, hp, NoiseSchedule.off(60), PrivacyAccount(1.0, 60, 1, 1),
+    trace = run("dp-masg", obj, hp, no_noise(60), PrivacyAccount(1.0, 60, 1, 1),
                 RngStream(2), np.array([1.0, 1.0]), obj.fstar, record_iterates=True)
     x_prev = x = np.array([1.0, 1.0])
     stage = [k for k, length in enumerate(stages.lengths) for _ in range(length)]
@@ -265,8 +266,10 @@ def test_budget_overrun_rejected():
 def test_run_validation():
     obj, sched, acct = noisy_setup(3)
     hp = HyperParams(alpha=0.1, T=3, m=1)
-    with pytest.raises(ValueError):
-        run("dp-unknown", obj, hp, sched, acct, RngStream(0), np.array([0.0]), 0.0)
+    # the smoothed heavy-ball form is a replay in conftest.py, not a method of run()
+    for algo in ("dp-unknown", "dp-hb-avg"):
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            run(algo, obj, hp, sched, acct, RngStream(0), np.array([0.0]), 0.0)
     with pytest.raises(ValueError):
         run("dp-gd", obj, HyperParams(alpha=0.1, T=2, m=1), sched, acct,
             RngStream(0), np.array([0.0]), 0.0)
@@ -287,8 +290,8 @@ def test_run_validation():
 
 def test_zero_iterations():
     obj = quad1d()
-    for algo in ("dp-gd", "dp-hb", "dp-hb-avg", "dp-nag"):
-        trace = run(algo, obj, HyperParams(alpha=0.1, T=0, m=1), NoiseSchedule.off(0),
+    for algo in ("dp-gd", "dp-hb", "dp-nag"):
+        trace = run(algo, obj, HyperParams(alpha=0.1, T=0, m=1), no_noise(0),
                     PrivacyAccount(1.0, 1, 1, 1), RngStream(0), np.array([2.0]),
                     obj.fstar)
         assert len(trace.t) == 1
@@ -350,4 +353,4 @@ def test_trace_csv_bytes_match_csv_writer(tmp_path):
 
 
 def test_algorithm_registry():
-    assert set(ALGORITHMS) == {"dp-gd", "dp-hb", "dp-hb-avg", "dp-nag", "dp-masg"}
+    assert set(ALGORITHMS) == {"dp-gd", "dp-hb", "dp-nag", "dp-masg"}

@@ -368,7 +368,8 @@ def test_schedule_validation():
         NoiseSchedule(b=np.array([1.0]), eps=np.array([0.1, 0.1]))
     with pytest.raises(ValueError):
         NoiseSchedule(b=np.array([1.0]), eps=np.array([-0.1]))
-    off = NoiseSchedule.off(5)
+    # b == 0 is valid input: no noise that iteration
+    off = NoiseSchedule(np.zeros(5), np.zeros(5))
     assert len(off) == 5
     assert off.total_epsilon == 0.0
 
