@@ -15,12 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import budget_allocator as ba
 from . import certification as cert
-from .harness import ExperimentConfig, comparison_table, run_grid, summarize, write_summary
+from .harness import (ExperimentConfig, allocate, comparison_table, run_grid, summarize,
+                      write_summary)
 from .objectives import generate_synthetic
 from .optimizers import Trace
-from .privacy_core import epsilon_of, per_iteration_epsilon, uniform_scale
+from .privacy_core import epsilon_of, per_iteration_epsilon
 from .svgplot import write_line_svg
 
 
@@ -89,29 +89,28 @@ def _add_allocate(sub):
 
 def _cmd_allocate(args):
     m = args.n if args.m is None else args.m
-    T = args.T
-    if args.scheme == "uniform":
-        sched = uniform_scale(args.S1, args.epsilon, T, args.n, m)
-    else:
-        if args.mu is None or args.L is None:
-            raise SystemExit("nag-opt and masg-opt need --mu and --L")
-        if args.scheme == "nag-opt":
-            alpha = args.alpha if args.alpha is not None else args.c / args.L
-            builder = lambda Tp: ba.nag_coefficients(args.mu, args.L, alpha, Tp)
-        else:
-            builder = lambda Tp: ba.masg_coefficients_for(args.mu, args.L, args.c, args.p, Tp)
-        if args.e0 is not None:
-            T, bound = ba.select_horizon(builder, args.e0, args.S1, args.n,
-                                         args.epsilon, args.d, args.T)
-            print(f"selected horizon T={T} (bound {bound:.6g})")
-        sched = ba.optimal_schedule(builder(T), args.S1, args.n, args.epsilon)
-        if m < args.n:
-            sched, factor = ba.rescale_for_subsampling(sched, args.S1, args.n, m, args.epsilon)
-            print(f"subsampling rescale factor: {factor:.12g}")
+    if args.scheme != "uniform" and (args.mu is None or args.L is None):
+        raise SystemExit("nag-opt and masg-opt need --mu and --L")
+    T, sched, bound, factor = allocate(args.scheme, args.S1, args.n, m, args.epsilon, args.T,
+                                       mu=args.mu, L=args.L, alpha=args.alpha, c=args.c,
+                                       p=args.p, e0=args.e0, d=args.d)
+    if bound is not None:
+        print(f"selected horizon T={T} (bound {bound:.6g})")
+    if factor is not None:
+        print(f"subsampling rescale factor: {factor:.12g}")
     sched.to_csv(args.out)
     leak = float(np.sum(epsilon_of(args.S1, sched.b, args.n, m)))
     print(f"wrote {len(sched.b)} scales to {args.out}; audited leak {leak:.12g}")
     return 0
+
+
+def _write_bound_csv(path, t, vals):
+    with open(path, "w") as fh:
+        fh.write("t,bound\n")
+        for ti, vi in zip(t, vals):
+            # repr of the Python float round-trips; numpy scalar repr does not
+            fh.write(f"{int(ti)},{float(vi)!r}\n")
+    print(f"bound curve written to {path}")
 
 
 def _add_certify(sub):
@@ -152,12 +151,7 @@ def _cmd_certify(args):
         nb = cert.noise_bound(args.S1, args.m, args.n, eps0, args.d)
         t = np.arange(args.T + 1)
         vals = cert.eval_shb_bound(found, args.psi0, nb.total, args.alpha, args.d, args.L, t)
-        with open(args.out_curve, "w") as fh:
-            fh.write("t,bound\n")
-            for ti, vi in zip(t, vals):
-                # repr of the Python float round-trips; numpy scalar repr does not
-                fh.write(f"{int(ti)},{float(vi)!r}\n")
-        print(f"bound curve written to {args.out_curve}")
+        _write_bound_csv(args.out_curve, t, vals)
     return 0
 
 
@@ -184,11 +178,7 @@ def _cmd_analyze_quadratic(args):
             raise SystemExit("--out needs --sigma2 and --t-max")
         t = np.arange(args.t_max + 1)
         vals = cert.quadratic_bound(report, args.sigma2, t, args.v0, args.c_mult)
-        with open(args.out, "w") as fh:
-            fh.write("t,bound\n")
-            for ti, vi in zip(t, vals):
-                fh.write(f"{int(ti)},{float(vi)!r}\n")
-        print(f"bound curve written to {args.out}")
+        _write_bound_csv(args.out, t, vals)
     return 0
 
 

@@ -120,10 +120,8 @@ class ExperimentConfig:
         unknown = set(raw) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key in ("algorithms", "m_values", "T_values", "c_values", "seeds", "x0"):
-            if key in raw and raw[key] is not None:
-                raw[key] = tuple(raw[key])
-        return cls(**raw)
+        # JSON has no tuples, and every list belongs to a tuple field
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
 
 
 def build_objective(config: ExperimentConfig) -> LogisticObjective:
@@ -154,50 +152,61 @@ def reference_optimum(obj):
     return best_x, obj.value(best_x), float(best_norm)
 
 
+# In harness, not budget_allocator, because perfbench times these calls by patching
+# this module's names; it moves unchanged once perfbench wraps budget_allocator.
+def allocate(scheme: str, S1: float, n: int, m: int, epsilon: float, T: int, *,
+             mu=None, L=None, alpha=None, c: float = 1.0, p: int = 1, e0=None, d: int = 1):
+    """(T, schedule, bound, factor) for one budget: the one allocation path.
+
+    "uniform" splits epsilon evenly over T steps.  "nag-opt" (stepsize
+    alpha, default c / L) and "masg-opt" (stages from c and p) split it
+    unevenly, after re-selecting the horizon (at most T) that minimizes the
+    optimized bound when e0 is given (else bound is None); with m < n the
+    schedule is rescaled so the audited leak still sums to epsilon (else
+    factor is None).
+    """
+    if scheme == "uniform":
+        return T, uniform_scale(S1, epsilon, T, n, m), None, None
+    if scheme == "nag-opt":
+        alpha = c / L if alpha is None else alpha
+        builder = lambda Tp: nag_coefficients(mu, L, alpha, Tp)
+    elif scheme == "masg-opt":
+        builder = lambda Tp: masg_coefficients_for(mu, L, c, p, Tp)
+    else:
+        raise ValueError(f"unknown allocation scheme {scheme!r}")
+    bound = factor = None
+    if e0 is not None:
+        T, bound = select_horizon(builder, e0, S1, n, epsilon, d, T)
+    sched = optimal_schedule(builder(T), S1, n, epsilon)
+    if m < n:
+        sched, factor = rescale_for_subsampling(sched, S1, n, m, epsilon)
+    return T, sched, bound, factor
+
+
 def plan_cell(algo: str, obj, m: int, T: int, c: float, epsilon: float,
               e0_guess: float, masg_p: int):
-    """Hyperparameters and noise schedule for one grid cell.
+    """(run algorithm, hyperparameters, noise schedule) for one grid cell.
 
-    The -opt variants re-select their horizon (at most T) by minimizing the
-    optimized bound, then allocate the budget unevenly; under subsampling
-    the allocation is rescaled so the audited leak still sums to epsilon.
+    A name ending in -opt runs its base method on allocate's "nag-opt" or
+    "masg-opt" schedule, with the horizon it selects from e0_guess; the
+    others run on a uniform split of epsilon over T steps.
     """
-    mu, L, n, d = obj.mu, obj.L, obj.n, obj.d
-    S1 = obj.sensitivity_bound()
+    if algo not in GRID_ALGORITHMS:
+        raise ValueError(f"unknown grid algorithm {algo!r}")
+    mu, L = obj.mu, obj.L
+    run_algo = algo.removesuffix("-opt")
+    scheme = algo.removeprefix("dp-") if algo.endswith("-opt") else "uniform"
+    T, sched, _, _ = allocate(scheme, obj.sensitivity_bound(), obj.n, m, epsilon, T,
+                              mu=mu, L=L, c=c, p=masg_p, e0=e0_guess, d=obj.d)
     alpha = c / L
-    if algo == "dp-gd":
-        return "dp-gd", HyperParams(alpha=alpha, T=T, m=m), uniform_scale(S1, epsilon, T, n, m)
-    if algo == "dp-hb":
-        hp = HyperParams(alpha=alpha, T=T, m=m, beta=polyak_momentum(mu, L))
-        return "dp-hb", hp, uniform_scale(S1, epsilon, T, n, m)
-    if algo == "dp-nag":
-        hp = HyperParams(alpha=alpha, T=T, m=m, beta=nesterov_momentum(alpha, mu))
-        return "dp-nag", hp, uniform_scale(S1, epsilon, T, n, m)
-    if algo == "dp-masg":
+    beta, stages = 0.0, None
+    if run_algo == "dp-hb":
+        beta = polyak_momentum(mu, L)
+    elif run_algo == "dp-nag":
+        beta = nesterov_momentum(alpha, mu)
+    elif run_algo == "dp-masg":
         stages = masg_stage_schedule(mu, L, c, masg_p, T)
-        hp = HyperParams(alpha=stages.alphas[0], T=T, m=m, stages=stages)
-        return "dp-masg", hp, uniform_scale(S1, epsilon, T, n, m)
-    if algo == "dp-nag-opt":
-        T_eff, _ = select_horizon(
-            lambda Tp: nag_coefficients(mu, L, alpha, Tp), e0_guess, S1, n, epsilon, d, T
-        )
-        sched = optimal_schedule(nag_coefficients(mu, L, alpha, T_eff), S1, n, epsilon)
-        if m < n:
-            sched, _ = rescale_for_subsampling(sched, S1, n, m, epsilon)
-        hp = HyperParams(alpha=alpha, T=T_eff, m=m, beta=nesterov_momentum(alpha, mu))
-        return "dp-nag", hp, sched
-    if algo == "dp-masg-opt":
-        T_eff, _ = select_horizon(
-            lambda Tp: masg_coefficients_for(mu, L, c, masg_p, Tp),
-            e0_guess, S1, n, epsilon, d, T,
-        )
-        coeffs = masg_coefficients_for(mu, L, c, masg_p, T_eff)
-        sched = optimal_schedule(coeffs, S1, n, epsilon)
-        if m < n:
-            sched, _ = rescale_for_subsampling(sched, S1, n, m, epsilon)
-        hp = HyperParams(alpha=coeffs.stages.alphas[0], T=T_eff, m=m, stages=coeffs.stages)
-        return "dp-masg", hp, sched
-    raise ValueError(f"unknown grid algorithm {algo!r}")
+    return run_algo, HyperParams(alpha=alpha, T=T, m=m, beta=beta, stages=stages), sched
 
 
 def _cell_name(algo: str, m: int, T: int, c: float, seed: int | None = None) -> str:

@@ -1,5 +1,7 @@
 """Experiment orchestration: config, planning, grid runs, summaries, CLI."""
 
+import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -11,10 +13,12 @@ import numpy as np
 import pytest
 
 import dpaccel
+from dpaccel import budget_allocator as ba
 from dpaccel import harness
 from dpaccel.budget_allocator import masg_coefficients_for, optimized_bound_value
 from dpaccel.cli import main
 from dpaccel.harness import (
+    GRID_ALGORITHMS,
     ExperimentConfig,
     build_objective,
     comparison_table,
@@ -24,7 +28,14 @@ from dpaccel.harness import (
     summarize,
 )
 from dpaccel.objectives import Dataset, LogisticObjective, QuadraticObjective, generate_synthetic
-from dpaccel.optimizers import HyperParams, Trace, nesterov_momentum, polyak_momentum, run
+from dpaccel.optimizers import (
+    HyperParams,
+    Trace,
+    masg_stage_schedule,
+    nesterov_momentum,
+    polyak_momentum,
+    run,
+)
 from dpaccel.privacy_core import (
     NoiseSchedule,
     PrivacyAccount,
@@ -207,6 +218,60 @@ def test_plan_cell_opt_variants(small_obj):
 def test_plan_cell_unknown_algorithm(small_obj):
     with pytest.raises(ValueError, match="unknown grid algorithm"):
         plan_cell("dp-sgd", small_obj, 40, 6, 0.5, 1.0, 10.0, 1)
+
+
+def _replay_plan_cell(algo, obj, m, T, c, epsilon, e0, p):
+    """A grid cell's plan written out on budget_allocator directly, without
+    harness.allocate: a uniform split for the base methods; for the -opt
+    ones select_horizon, then optimal_schedule of the coefficients at the
+    selected T, then rescale_for_subsampling when m < n."""
+    mu, L, n = obj.mu, obj.L, obj.n
+    S1 = obj.sensitivity_bound()
+    alpha = c / L
+    if algo in ("dp-gd", "dp-hb", "dp-nag"):
+        beta = {"dp-gd": 0.0, "dp-hb": polyak_momentum(mu, L),
+                "dp-nag": nesterov_momentum(alpha, mu)}[algo]
+        hp = HyperParams(alpha=alpha, T=T, m=m, beta=beta)
+        return algo, hp, uniform_scale(S1, epsilon, T, n, m)
+    if algo == "dp-masg":
+        stages = masg_stage_schedule(mu, L, c, p, T)
+        hp = HyperParams(alpha=stages.alphas[0], T=T, m=m, stages=stages)
+        return algo, hp, uniform_scale(S1, epsilon, T, n, m)
+    if algo == "dp-nag-opt":
+        builder = lambda Tp: ba.nag_coefficients(mu, L, alpha, Tp)
+    else:
+        builder = lambda Tp: ba.masg_coefficients_for(mu, L, c, p, Tp)
+    T_eff, _ = ba.select_horizon(builder, e0, S1, n, epsilon, obj.d, T)
+    coeffs = builder(T_eff)
+    sched = ba.optimal_schedule(coeffs, S1, n, epsilon)
+    if m < n:
+        sched, _ = ba.rescale_for_subsampling(sched, S1, n, m, epsilon)
+    if algo == "dp-nag-opt":
+        hp = HyperParams(alpha=alpha, T=T_eff, m=m, beta=nesterov_momentum(alpha, mu))
+        return "dp-nag", hp, sched
+    hp = HyperParams(alpha=coeffs.stages.alphas[0], T=T_eff, m=m, stages=coeffs.stages)
+    return "dp-masg", hp, sched
+
+
+@pytest.mark.parametrize("algo", GRID_ALGORITHMS)
+def test_plan_cell_matches_replay(small_obj, algo):
+    # bitwise: the one allocation path plans every cell as the pipeline
+    # written out on budget_allocator does
+    n = small_obj.n
+    for m, T, c, e0 in itertools.product((n // 10, n), (1, 2, 7, 50, 200), (0.1, 1.0), (0.0, 10.0)):
+        got = plan_cell(algo, small_obj, m, T, c, 1.0, e0, 1)
+        want = _replay_plan_cell(algo, small_obj, m, T, c, 1.0, e0, 1)
+        assert got[0] == want[0]
+        for f in dataclasses.fields(HyperParams):
+            assert getattr(got[1], f.name) == getattr(want[1], f.name), (m, T, c, e0, f.name)
+        assert got[2].b.tobytes() == want[2].b.tobytes()
+        assert got[2].eps.tobytes() == want[2].eps.tobytes()
+        assert got[2].provenance == want[2].provenance
+
+
+def test_allocate_rejects_unknown_scheme():
+    with pytest.raises(ValueError, match="unknown allocation scheme"):
+        harness.allocate("sgd-opt", 4.0, 1000, 1000, 1.0, 10, mu=0.1, L=1.0, e0=10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +575,39 @@ def test_cli_allocate_masg_opt_subsampled(tmp_path, capsys):
     assert len(sched.b) == T
     leak = float(np.sum(epsilon_of(4.0, sched.b, 1000, 100)))
     assert abs(leak - 1.0) <= 1e-9
+
+
+def test_cli_allocate_nag_opt_uses_alpha(tmp_path):
+    # --alpha sets nag-opt's stepsize; without it the stepsize is c / L
+    out = tmp_path / "sched.csv"
+    rc = main(["allocate", "--scheme", "nag-opt", "--S1", "4.0", "--epsilon", "1.0",
+               "--T", "40", "--n", "1000", "--mu", "0.1", "--L", "1.0", "--alpha", "0.3",
+               "--out", str(out)])
+    assert rc == 0
+    got = NoiseSchedule.from_csv(out).b
+    want = ba.optimal_schedule(ba.nag_coefficients(0.1, 1.0, 0.3, 40), 4.0, 1000, 1.0).b
+    at_c_over_L = ba.optimal_schedule(ba.nag_coefficients(0.1, 1.0, 1.0, 40), 4.0, 1000, 1.0).b
+    assert got.tobytes() == want.tobytes()
+    assert not np.allclose(got, at_c_over_L)
+
+
+@pytest.mark.parametrize("scheme", ["nag-opt", "masg-opt"])
+def test_cli_allocate_without_e0_keeps_T(tmp_path, capsys, scheme):
+    out = tmp_path / "sched.csv"
+    rc = main(["allocate", "--scheme", scheme, "--S1", "4.0", "--epsilon", "1.0",
+               "--T", "60", "--n", "1000", "--mu", "0.1", "--L", "1.0", "--out", str(out)])
+    assert rc == 0
+    assert "selected horizon" not in capsys.readouterr().out
+    assert len(NoiseSchedule.from_csv(out).b) == 60
+
+
+@pytest.mark.parametrize("missing", ["--mu", "--L"])
+def test_cli_allocate_opt_needs_mu_and_L(tmp_path, missing):
+    args = {"--mu": "0.1", "--L": "1.0"}
+    del args[missing]
+    with pytest.raises(SystemExit, match="nag-opt and masg-opt need --mu and --L"):
+        main(["allocate", "--scheme", "nag-opt", "--S1", "4.0", "--epsilon", "1.0", "--T", "10",
+              "--n", "1000", *itertools.chain(*args.items()), "--out", str(tmp_path / "s.csv")])
 
 
 def test_import_loads_no_scipy():
