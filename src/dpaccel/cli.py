@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import certification as cert
-from .harness import (ExperimentConfig, allocate, comparison_table, run_grid, summarize,
-                      write_summary)
+from ._table import write_json, write_table
+from .harness import ExperimentConfig, allocate, comparison_table, run_grid, summarize
 from .objectives import generate_synthetic
 from .optimizers import Trace
 from .privacy_core import epsilon_of, per_iteration_epsilon
@@ -51,12 +51,11 @@ def _add_run(sub):
 
 
 def _cmd_run(args):
-    config = ExperimentConfig.from_json(args.config)
-    if args.seed_base is not None:
-        config.seed_base = args.seed_base
-        config.seeds = None
+    overrides = {} if args.seed_base is None else {"seed_base": args.seed_base, "seeds": None}
     if args.workers is not None:
-        config = replace(config, workers=args.workers)  # validated like the config
+        overrides["workers"] = args.workers
+    # replace validates the overrides like the rest of the config
+    config = replace(ExperimentConfig.from_json(args.config), **overrides)
     summary = run_grid(config, args.out)
     print(comparison_table(summary))
     ref = summary["reference"]
@@ -105,11 +104,7 @@ def _cmd_allocate(args):
 
 
 def _write_bound_csv(path, t, vals):
-    with open(path, "w") as fh:
-        fh.write("t,bound\n")
-        for ti, vi in zip(t, vals):
-            # repr of the Python float round-trips; numpy scalar repr does not
-            fh.write(f"{int(ti)},{float(vi)!r}\n")
+    write_table(path, ("t", "bound"), (t, vals))
     print(f"bound curve written to {path}")
 
 
@@ -141,8 +136,7 @@ def _cmd_certify(args):
     payload = found.as_dict()
     print(json.dumps(payload, indent=2))
     if args.out_json:
-        with open(args.out_json, "w") as fh:
-            json.dump(payload, fh, indent=2)
+        write_json(args.out_json, payload)
     if args.out_curve:
         needed = (args.S1, args.epsilon, args.T, args.n, args.m)
         if any(v is None for v in needed):
@@ -198,7 +192,7 @@ def _cmd_summarize(args):
     summary = summarize(paths)
     print(comparison_table(summary))
     if args.out:
-        write_summary(summary, args.out)
+        write_json(args.out, summary)
         print(f"summary written to {args.out}")
     if args.svg:
         svg_dir = Path(args.svg)

@@ -8,7 +8,6 @@ summary aggregates per-cell curves and final errors.
 
 from __future__ import annotations
 
-import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -16,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._table import read_json, write_json, write_table
 from .budget_allocator import (
     masg_coefficients_for,
     nag_coefficients,
@@ -109,13 +109,11 @@ class ExperimentConfig:
         )
 
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2)
+        write_json(path, asdict(self))
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            raw = json.load(fh)
+        raw = read_json(path)
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(raw) - known
         if unknown:
@@ -267,11 +265,8 @@ def run_grid(config: ExperimentConfig, out_dir) -> dict:
         return trace
 
     tasks = [(cell, seed) for cell in plans for seed in seeds]
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(lambda ts: one(*ts), tasks))
-    else:
-        results = [one(*task) for task in tasks]
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        results = list(pool.map(lambda ts: one(*ts), tasks))
 
     traces = []
     for (cell, seed), result in zip(tasks, results):
@@ -292,7 +287,7 @@ def run_grid(config: ExperimentConfig, out_dir) -> dict:
     summary["failed"] = failed
     summary["wall_time"] = time.perf_counter() - started
     summary["config"] = asdict(config)
-    write_summary(summary, out_dir / "summary.json")
+    write_json(out_dir / "summary.json", summary)
     _write_curve_csvs(out_dir / "curves", summary)
     return summary
 
@@ -303,7 +298,7 @@ def summarize(traces) -> dict:
     Traces must share the objective and the budget.  Per cell: the mean and
     standard error of log10 suboptimality at each iteration, plus the plain
     mean of the final suboptimality.  The curves are float64 arrays (about a
-    quarter of the memory of lists of Python floats); write_summary turns
+    quarter of the memory of lists of Python floats); write_json turns
     them into JSON lists.  The comparison table keeps, for each
     (algorithm, m, c), the best final mean error over T.
     """
@@ -374,27 +369,14 @@ def summarize(traces) -> dict:
     }
 
 
-def _json_default(obj):
-    # arrays become lists of Python floats; numpy scalars that json cannot
-    # write become floats
-    return obj.tolist() if isinstance(obj, np.ndarray) else float(obj)
-
-
-def write_summary(summary: dict, path) -> None:
-    """Write a summary (from run_grid or summarize) as indented JSON."""
-    with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2, default=_json_default)
-
-
 def _write_curve_csvs(curve_dir: Path, summary: dict) -> None:
     curve_dir.mkdir(parents=True, exist_ok=True)
     for rec in summary["records"]:
         name = _cell_name(rec["algorithm"], rec["m"], rec["T"], rec["c"])
-        with open(curve_dir / f"curve_{name}.csv", "w") as fh:
-            fh.write("t,mean_log10_subopt,sem_log10_subopt\n")
-            for t, (mean, sem) in enumerate(zip(rec["mean_log10"], rec["sem_log10"])):
-                # repr of the Python float round-trips; numpy scalar repr does not
-                fh.write(f"{t},{float(mean)!r},{float(sem)!r}\n")
+        mean, sem = rec["mean_log10"], rec["sem_log10"]
+        write_table(curve_dir / f"curve_{name}.csv",
+                    ("t", "mean_log10_subopt", "sem_log10_subopt"),
+                    (np.arange(len(mean)), mean, sem))
 
 
 def comparison_table(summary: dict) -> str:

@@ -10,13 +10,11 @@ call after the run, and ``value(x)`` is ``values(x[None])[0]``.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from ._table import read_sidecar, read_table, write_table
 from .privacy_core import RngStream
 
 # Elements of the (rows, n) margin block LogisticObjective.values works on:
@@ -109,45 +107,23 @@ class Dataset:
 
     def to_csv(self, path) -> None:
         """Write `z,u_1,...,u_d` rows plus a JSON sidecar with provenance."""
-        path = Path(path)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["z"] + [f"u_{j + 1}" for j in range(self.d)])
-            for i in range(self.n):
-                writer.writerow([int(self.z[i])] + [repr(float(v)) for v in self.U[i]])
+        header = ["z"] + [f"u_{j + 1}" for j in range(self.d)]
         meta = {
             "seed": self.seed,
             "u_max": self.u_max,
             "x_true": None if self.x_true is None else [float(v) for v in self.x_true],
         }
-        with open(_sidecar_path(path), "w") as fh:
-            json.dump(meta, fh, indent=2)
+        write_table(path, header, (self.z.astype(int), *self.U.T), meta)
 
     @classmethod
     def from_csv(cls, path) -> "Dataset":
-        path = Path(path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        header = rows[0]
-        if not header or header[0] != "z":
-            raise ValueError(f"not a dataset CSV: {path}")
-        body = rows[1:]
-        z = np.array([float(r[0]) for r in body])
-        U = np.array([[float(v) for v in r[1:]] for r in body])
-        sidecar = _sidecar_path(path)
-        seed, x_true, u_max = None, None, float(np.abs(U).sum(axis=1).max())
-        if sidecar.exists():
-            with open(sidecar) as fh:
-                meta = json.load(fh)
-            seed = meta.get("seed")
-            u_max = float(meta.get("u_max", u_max))
-            if meta.get("x_true") is not None:
-                x_true = np.array(meta["x_true"], dtype=float)
-        return cls(U=U, z=z, u_max=u_max, seed=seed, x_true=x_true)
-
-
-def _sidecar_path(path: Path) -> Path:
-    return path.with_name(path.stem + ".meta.json")
+        z, *u = read_table(path, "dataset", ("z",))
+        U = np.column_stack(u)
+        meta = read_sidecar(path)
+        x_true = meta.get("x_true")
+        return cls(U=U, z=z, u_max=float(meta.get("u_max", np.abs(U).sum(axis=1).max())),
+                   seed=meta.get("seed"),
+                   x_true=None if x_true is None else np.array(x_true, dtype=float))
 
 
 def generate_synthetic(

@@ -20,14 +20,12 @@ objective is evaluated once, over all iterates, after the loop.
 
 from __future__ import annotations
 
-import csv
-import json
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
+from ._table import read_sidecar, read_table, write_table
 from .privacy_core import (
     BUDGET_TOL,
     NoiseSchedule,
@@ -38,9 +36,7 @@ from .privacy_core import (
 
 ALGORITHMS = ("dp-gd", "dp-hb", "dp-nag", "dp-masg")
 
-# Rows Trace.to_csv formats per write: enough to amortise the call, few
-# enough that the chunk's strings add little to peak memory.
-_CSV_CHUNK = 4096
+_TRACE_HEADER = ("t", "subopt", "eps_cum")
 
 
 def polyak_momentum(mu: float, L: float) -> float:
@@ -157,43 +153,14 @@ class Trace:
         return len(self.t) - 1
 
     def to_csv(self, path) -> None:
-        """Write `t,subopt,eps_cum` rows plus a JSON sidecar with the metadata.
-
-        The bytes are those of csv.writer (\\r\\n line ends, repr of each
-        float, which round-trips), formatted a chunk of rows at a time.
-        """
-        path = Path(path)
-        with open(path, "w", newline="") as fh:
-            fh.write("t,subopt,eps_cum\r\n")
-            for lo in range(0, len(self.t), _CSV_CHUNK):
-                rows = zip(
-                    self.t[lo:lo + _CSV_CHUNK].tolist(),
-                    self.subopt[lo:lo + _CSV_CHUNK].tolist(),
-                    self.eps_cum[lo:lo + _CSV_CHUNK].tolist(),
-                )
-                fh.write("".join([f"{t},{s!r},{e!r}\r\n" for t, s, e in rows]))
-        with open(path.with_name(path.stem + ".meta.json"), "w") as fh:
-            json.dump(self.meta, fh, indent=2, default=float)
+        """Write `t,subopt,eps_cum` rows plus a JSON sidecar with the metadata."""
+        write_table(path, _TRACE_HEADER, (self.t, self.subopt, self.eps_cum), self.meta)
 
     @classmethod
     def from_csv(cls, path) -> "Trace":
-        path = Path(path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows or rows[0] != ["t", "subopt", "eps_cum"]:
-            raise ValueError(f"not a trace CSV: {path}")
-        body = rows[1:]
-        meta = {}
-        meta_path = path.with_name(path.stem + ".meta.json")
-        if meta_path.exists():
-            with open(meta_path) as fh:
-                meta = json.load(fh)
-        return cls(
-            t=np.array([int(r[0]) for r in body]),
-            subopt=np.array([float(r[1]) for r in body]),
-            eps_cum=np.array([float(r[2]) for r in body]),
-            meta=meta,
-        )
+        t, subopt, eps_cum = read_table(path, "trace", _TRACE_HEADER)
+        return cls(t=t.astype(int), subopt=subopt, eps_cum=eps_cum,
+                   meta=read_sidecar(path))
 
 
 def run(
@@ -291,7 +258,7 @@ def run(
     meta = {
         "algorithm": algorithm,
         "alpha": None if hp.stages is not None else hp.alpha,
-        "beta": None if hp.stages is not None else beta if hp.T else hp.beta,
+        "beta": None if hp.stages is not None else beta,
         "stages": None
         if hp.stages is None
         else {"lengths": list(hp.stages.lengths), "alphas": list(hp.stages.alphas)},

@@ -12,11 +12,12 @@ without replaying the stream.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from ._table import read_table, write_table
 
 # expm1 overflows in float64 beyond this point; above it the exact leak is
 # indistinguishable from its asymptote  x + log(m/n)  at double precision.
@@ -26,6 +27,8 @@ _EXP_OVERFLOW = 700.0
 # total budget.  Schedules store audited per-step leaks whose float sum can
 # miss the target by a few ulps.
 BUDGET_TOL = 1e-9
+
+_SCHEDULE_HEADER = ("t", "b_t", "eps_t")
 
 
 class RngStream:
@@ -197,21 +200,11 @@ class NoiseSchedule:
         return float(np.sum(self.eps))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "b_t", "eps_t"])
-            for t in range(len(self.b)):
-                writer.writerow([t + 1, repr(float(self.b[t])), repr(float(self.eps[t]))])
+        write_table(path, _SCHEDULE_HEADER, (np.arange(1, len(self.b) + 1), self.b, self.eps))
 
     @classmethod
     def from_csv(cls, path, provenance: str = "") -> "NoiseSchedule":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows or rows[0] != ["t", "b_t", "eps_t"]:
-            raise ValueError(f"not a schedule CSV: {path}")
-        body = rows[1:]
-        b = np.array([float(r[1]) for r in body])
-        eps = np.array([float(r[2]) for r in body])
+        _, b, eps = read_table(path, "schedule", _SCHEDULE_HEADER)
         return cls(b=b, eps=eps, provenance=provenance)
 
 

@@ -10,6 +10,7 @@ import numpy as np
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
            "#17becf", "#7f7f7f")
+_WIDTH, _HEIGHT = 640, 420
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 28, 40
 
 
@@ -23,8 +24,7 @@ def _ticks(lo: float, hi: float, n: int = 5) -> np.ndarray:
     return np.arange(first, hi + 0.5 * step, step)
 
 
-def write_line_svg(path, curves, title: str = "", xlabel: str = "",
-                   ylabel: str = "", width: int = 640, height: int = 420) -> None:
+def write_line_svg(path, curves, title: str = "", xlabel: str = "", ylabel: str = "") -> None:
     """curves: iterable of (label, xs, ys); non-finite points are dropped."""
     cleaned = []
     for label, xs, ys in curves:
@@ -45,8 +45,8 @@ def write_line_svg(path, curves, title: str = "", xlabel: str = "",
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
 
-    inner_w = width - _MARGIN_L - _MARGIN_R
-    inner_h = height - _MARGIN_T - _MARGIN_B
+    inner_w = _WIDTH - _MARGIN_L - _MARGIN_R
+    inner_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def px(x):
         return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * inner_w
@@ -55,15 +55,15 @@ def write_line_svg(path, curves, title: str = "", xlabel: str = "",
         return _MARGIN_T + (y_hi - y) / (y_hi - y_lo) * inner_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="11">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="11">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{inner_w}" height="{inner_h}" '
         'fill="none" stroke="#333"/>',
     ]
     if title:
         parts.append(
-            f'<text x="{width / 2:.1f}" y="18" text-anchor="middle" '
+            f'<text x="{_WIDTH / 2:.1f}" y="18" text-anchor="middle" '
             f'font-size="13">{_esc(title)}</text>'
         )
     for x in _ticks(x_lo, x_hi):
@@ -82,7 +82,7 @@ def write_line_svg(path, curves, title: str = "", xlabel: str = "",
         )
     if xlabel:
         parts.append(
-            f'<text x="{_MARGIN_L + inner_w / 2:.1f}" y="{height - 8}" '
+            f'<text x="{_MARGIN_L + inner_w / 2:.1f}" y="{_HEIGHT - 8}" '
             f'text-anchor="middle">{_esc(xlabel)}</text>'
         )
     if ylabel:

@@ -687,6 +687,22 @@ def test_cli_run_workers_sets_the_config(tmp_path):
         main(args + ["--workers", "0"])
 
 
+def test_cli_run_seed_base_sets_the_config(tmp_path):
+    cfg_path = tmp_path / "config.json"
+    tiny = dict(algorithms=("dp-gd",), m_values=(40,), T_values=(5,))
+    tiny_config(**tiny, seeds=(3, 4, 5)).to_json(cfg_path)
+    args = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    assert main(args + ["--seed-base", "50"]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert (summary["config"]["seed_base"], summary["config"]["seeds"]) == (50, None)
+    seeds = sorted(p.stem.rsplit("_", 1)[1] for p in (tmp_path / "out" / "traces").glob("*.csv"))
+    assert seeds == ["50", "51"]
+    # without seeds the config needs replicates, as when it is loaded
+    tiny_config(**tiny, seeds=(3,), replicates=0).to_json(cfg_path)
+    with pytest.raises(ValueError, match="replicate"):
+        main(args + ["--seed-base", "50"])
+
+
 def test_cli_summarize_trace_outside_grid(tmp_path, capsys):
     # run() writes no grid metadata, so the cell has no stepsize scale c
     obj = build_objective(tiny_config())

@@ -4,9 +4,11 @@ import io
 import numpy as np
 import pytest
 
-from dpaccel.objectives import LogisticObjective, QuadraticObjective, generate_synthetic
+from dpaccel._table import _CSV_CHUNK
+from dpaccel.cli import _write_bound_csv
+from dpaccel.harness import _write_curve_csvs
+from dpaccel.objectives import Dataset, LogisticObjective, QuadraticObjective, generate_synthetic
 from dpaccel.optimizers import (
-    _CSV_CHUNK,
     ALGORITHMS,
     HyperParams,
     StageSchedule,
@@ -328,28 +330,72 @@ def test_trace_csv_roundtrip(tmp_path):
         Trace.from_csv(__file__)
 
 
-def test_trace_csv_bytes_match_csv_writer(tmp_path):
+def _awkward(rows, seed):
+    """Floats from 1e-300 to 1e300, led by a subnormal, the largest double and 0.1 + 0.2."""
+    x = RngStream(seed).random(rows) * np.logspace(-300, 300, rows)
+    x[:4] = [0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2]
+    return x
+
+
+@pytest.mark.parametrize("kind", ["trace", "schedule", "dataset", "curve", "bound"])
+def test_table_csv_bytes_match_csv_writer(tmp_path, kind):
     # longer than one chunk of the writer, with awkward floats
     rows = 2 * _CSV_CHUNK + 17
-    subopt = RngStream(3).random(rows) * np.logspace(-300, 300, rows)
-    subopt[:6] = [0.0, -0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2, np.inf]
-    eps_cum = np.cumsum(RngStream(4).random(rows) * 1e-4)
-    trace = Trace(t=np.arange(rows), subopt=subopt, eps_cum=eps_cum, meta={"algorithm": "x"})
-    path = tmp_path / "tr.csv"
-    trace.to_csv(path)
+    t = np.arange(rows)
+    a = _awkward(rows, 3)
+    b = np.cumsum(RngStream(4).random(rows) * 1e-4)
+    path = tmp_path / f"{kind}.csv"
+    if kind == "trace":
+        a[4:6] = [-0.0, np.inf]
+        trace = Trace(t=t, subopt=a, eps_cum=b, meta={"algorithm": "x", "beta": np.float64(0.4)})
+        trace.to_csv(path)
+        header, ref_rows = ["t", "subopt", "eps_cum"], zip(t, a, b)
+        back = Trace.from_csv(path)
+        pairs = [(back.t, t), (back.subopt, a), (back.eps_cum, b)]
+        assert back.meta == trace.meta
+    elif kind == "schedule":
+        NoiseSchedule(b=a, eps=b).to_csv(path)
+        header, ref_rows = ["t", "b_t", "eps_t"], zip(t + 1, a, b)
+        back = NoiseSchedule.from_csv(path, provenance="p")
+        pairs = [(back.b, a), (back.eps, b)]
+        assert back.provenance == "p"
+    elif kind == "dataset":
+        z, U = np.where(t % 3, 1.0, -1.0), np.column_stack([a, -b])
+        x_true = np.array([0.1 + 0.2, 5e-324])
+        Dataset(U=U, z=z, u_max=1.7976931348623157e308, seed=7, x_true=x_true).to_csv(path)
+        header, ref_rows = ["z", "u_1", "u_2"], zip(z, a, -b)
+        back = Dataset.from_csv(path)
+        pairs = [(back.z, z), (back.U, U), (back.x_true, x_true)]
+        assert (back.u_max, back.seed) == (1.7976931348623157e308, 7)
+    elif kind == "curve":
+        rec = {"algorithm": "dp-gd", "m": 10, "T": rows - 1, "c": 0.5,
+               "mean_log10": a, "sem_log10": b}
+        _write_curve_csvs(tmp_path, {"records": [rec]})
+        path = tmp_path / f"curve_dp-gd_10_{rows - 1}_0.5.csv"
+        header, ref_rows = ["t", "mean_log10_subopt", "sem_log10_subopt"], zip(t, a, b)
+        pairs = []
+    else:
+        _write_bound_csv(path, t, a)
+        header, ref_rows = ["t", "bound"], zip(t, a)
+        pairs = []
 
     ref = io.StringIO(newline="")
     writer = csv.writer(ref)
-    writer.writerow(["t", "subopt", "eps_cum"])
-    for i in range(rows):
-        writer.writerow([int(trace.t[i]), repr(float(subopt[i])), repr(float(eps_cum[i]))])
+    writer.writerow(header)
+    writer.writerows([int(r[0]), *(repr(float(v)) for v in r[1:])] for r in ref_rows)
     assert path.read_bytes() == ref.getvalue().encode()
+    for got, want in pairs:
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert (tmp_path / f"{path.stem}.meta.json").exists() == (kind in ("trace", "dataset"))
 
-    back = Trace.from_csv(path)
-    assert np.array_equal(back.t, trace.t)
-    assert back.subopt.tobytes() == subopt.tobytes()
-    assert back.eps_cum.tobytes() == eps_cum.tobytes()
-    assert back.meta == trace.meta
+
+@pytest.mark.parametrize("T", [0, 3])
+@pytest.mark.parametrize("algo, beta", [("dp-gd", 0.0), ("dp-hb", 0.4)])
+def test_meta_beta_is_the_momentum_run_uses(T, algo, beta):
+    obj, sched, acct = noisy_setup(T)
+    trace = run(algo, obj, HyperParams(alpha=0.1, T=T, m=1, beta=0.4), sched, acct,
+                RngStream(0), np.array([1.0]), obj.fstar)
+    assert trace.meta["beta"] == beta
 
 
 def test_algorithm_registry():
