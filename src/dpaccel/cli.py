@@ -20,7 +20,7 @@ from ._table import write_json, write_table
 from .harness import ExperimentConfig, allocate, comparison_table, run_grid, summarize
 from .objectives import generate_synthetic
 from .optimizers import Trace
-from .privacy_core import epsilon_of, per_iteration_epsilon
+from .privacy_core import per_iteration_epsilon
 from .svgplot import write_line_svg
 
 
@@ -51,7 +51,7 @@ def _add_run(sub):
 
 
 def _cmd_run(args):
-    overrides = {} if args.seed_base is None else {"seed_base": args.seed_base, "seeds": None}
+    overrides = {} if args.seed_base is None else {"seed_base": args.seed_base}
     if args.workers is not None:
         overrides["workers"] = args.workers
     # replace validates the overrides like the rest of the config
@@ -98,8 +98,7 @@ def _cmd_allocate(args):
     if factor is not None:
         print(f"subsampling rescale factor: {factor:.12g}")
     sched.to_csv(args.out)
-    leak = float(np.sum(epsilon_of(args.S1, sched.b, args.n, m)))
-    print(f"wrote {len(sched.b)} scales to {args.out}; audited leak {leak:.12g}")
+    print(f"wrote {len(sched.b)} scales to {args.out}; audited leak {sched.total_epsilon:.12g}")
     return 0
 
 

@@ -8,9 +8,10 @@ summary aggregates per-cell curves and final errors.
 
 from __future__ import annotations
 
+import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,15 @@ _LOG_FLOOR = 1e-300
 _REFERENCE_GRAD_TOL = 1e-12
 _REFERENCE_MAX_ITER = 100_000
 
+_INT_FIELDS = ("d", "n", "data_seed", "replicates", "seed_base", "masg_p", "workers")
+
+
+def _as_int(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
 
 @dataclass
 class ExperimentConfig:
@@ -61,19 +71,21 @@ class ExperimentConfig:
     c_values: tuple = (0.1, 1.0)
     replicates: int = 20
     seed_base: int = 1000
-    seeds: tuple | None = None
     e0_guess: float = 10.0
     masg_p: int = 1
-    x0: tuple | None = None
     workers: int = 1
 
     def __post_init__(self):
+        # an integer field keeps what operator.index accepts, as a Python int
+        for name in _INT_FIELDS:
+            setattr(self, name, _as_int(name, getattr(self, name)))
+        self.m_values = tuple(_as_int("m_values", m) for m in self.m_values)
+        self.T_values = tuple(_as_int("T_values", T) for T in self.T_values)
         if self.d < 1 or self.n < 2:
             raise ValueError("need d >= 1 and n >= 2")
-        if self.epsilon <= 0:
-            raise ValueError(f"budget must be positive, got {self.epsilon}")
-        if self.lam <= 0 or self.u_max <= 0:
-            raise ValueError("lam and u_max must be positive")
+        for name in ("u_max", "lam", "epsilon"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
         if not 0 <= self.e0_guess < np.inf:
             raise ValueError(f"e0_guess must be finite and non-negative, got {self.e0_guess}")
         unknown = set(self.algorithms) - set(GRID_ALGORITHMS)
@@ -88,17 +100,13 @@ class ExperimentConfig:
         for c in self.c_values:
             if not 0 < c <= 1:
                 raise ValueError(f"stepsize scale must lie in (0, 1], got {c}")
-        if self.replicates < 1 and self.seeds is None:
+        if self.replicates < 1:
             raise ValueError("need at least one replicate")
-        if self.x0 is not None and len(self.x0) != self.d:
-            raise ValueError("x0 must have d entries")
         if self.workers < 1:
             raise ValueError("need workers >= 1")
 
     @property
     def seed_list(self) -> list[int]:
-        if self.seeds is not None:
-            return [int(s) for s in self.seeds]
         return [self.seed_base + r for r in range(self.replicates)]
 
     @property
@@ -229,7 +237,7 @@ def run_grid(config: ExperimentConfig, out_dir) -> dict:
     started = time.perf_counter()
     obj = build_objective(config)
     xstar, fstar, gnorm = reference_optimum(obj)
-    x0 = np.zeros(config.d) if config.x0 is None else np.asarray(config.x0, dtype=float)
+    x0 = np.zeros(config.d)
     seeds = config.seed_list
 
     cells = [
@@ -299,8 +307,9 @@ def summarize(traces) -> dict:
     standard error of log10 suboptimality at each iteration, plus the plain
     mean of the final suboptimality.  The curves are float64 arrays (about a
     quarter of the memory of lists of Python floats); write_json turns
-    them into JSON lists.  The comparison table keeps, for each
-    (algorithm, m, c), the best final mean error over T.
+    them into JSON lists.  Records run in numeric order of (m, T, c) within
+    an algorithm.  The comparison table keeps, for each (algorithm, m, c),
+    the best final mean error over T, the smallest such T on a tie.
     """
     traces = [Trace.from_csv(p) if isinstance(p, (str, Path)) else p for p in traces]
     if not traces:
@@ -348,7 +357,7 @@ def summarize(traces) -> dict:
         )
 
     # deterministic output regardless of trace ordering
-    records.sort(key=lambda r: (r["algorithm"], str(r["m"]), str(r["T"]), str(r["c"])))
+    records.sort(key=lambda r: (r["algorithm"], *map(_numeric_key, (r["m"], r["T"], r["c"]))))
     comparison = {}
     for rec in records:
         key = f"{rec['algorithm']}|m={rec['m']}|c={rec['c']}"
@@ -369,6 +378,11 @@ def summarize(traces) -> dict:
     }
 
 
+def _numeric_key(value) -> tuple:
+    """Sort key for m, T or c: numeric order, with a missing (None) key last."""
+    return (value is None, 0 if value is None else value)
+
+
 def _write_curve_csvs(curve_dir: Path, summary: dict) -> None:
     curve_dir.mkdir(parents=True, exist_ok=True)
     for rec in summary["records"]:
@@ -387,7 +401,7 @@ def comparison_table(summary: dict) -> str:
     """
     rows = sorted(
         summary["comparison"].values(),
-        key=lambda r: (str(r["m"]), str(r["c"]), r["algorithm"]),
+        key=lambda r: (_numeric_key(r["m"]), _numeric_key(r["c"]), r["algorithm"]),
     )
     lines = [f"{'algorithm':<14}{'m':>8}{'c':>6}{'best T':>8}{'final mean error':>20}"]
     for r in rows:

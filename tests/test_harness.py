@@ -77,18 +77,15 @@ def test_config_defaults_and_seed_list():
     assert cfg.T_values == (100, 200, 500, 1000)
     assert cfg.c_values == (0.1, 1.0)
     assert cfg.seed_list == list(range(1000, 1020))
-    cfg2 = ExperimentConfig(seeds=(5, 9, 2))
-    assert cfg2.seed_list == [5, 9, 2]
 
 
 def test_config_json_round_trip(tmp_path):
-    cfg = tiny_config(seeds=(1, 2, 3), x0=(0.0, 0.5, -0.5))
+    cfg = tiny_config()
     path = tmp_path / "config.json"
     cfg.to_json(path)
     back = ExperimentConfig.from_json(path)
     assert back == cfg
     assert isinstance(back.algorithms, tuple)
-    assert isinstance(back.seeds, tuple)
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -100,11 +97,26 @@ def test_config_rejects_unknown_keys(tmp_path):
     path.write_text(json.dumps({"full_scale": True}))
     with pytest.raises(ValueError, match="full_scale"):
         ExperimentConfig.from_json(path)
+    # seeds are always seed_base + r and runs start at zero: no seeds or x0 keys
+    for key, value in (("seeds", [1, 2]), ("x0", [0.0, 0.0, 0.0])):
+        path.write_text(json.dumps({key: value}))
+        with pytest.raises(ValueError, match=f"unknown config keys: \\['{key}'\\]"):
+            ExperimentConfig.from_json(path)
+
+
+# (field, value) pairs that must be refused when the config is built
+_MALFORMED = [
+    ("d", 3.0), ("n", 200.5), ("data_seed", 3.0), ("replicates", 1.5), ("seed_base", 7.0),
+    ("masg_p", 1.0), ("workers", 2.0), ("m_values", (50.0,)), ("T_values", (5.0,)),
+    ("u_max", np.nan), ("u_max", np.inf), ("lam", np.inf), ("lam", -1.0),
+    ("epsilon", np.inf), ("epsilon", np.nan), ("epsilon", 0.0),
+]
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        tiny_config(epsilon=0.0)
+    for field, value in _MALFORMED:
+        with pytest.raises(ValueError, match=f"^{field} "):
+            tiny_config(**{field: value})
     with pytest.raises(ValueError):
         tiny_config(m_values=(500,))  # m > n
     with pytest.raises(ValueError):
@@ -114,14 +126,16 @@ def test_config_validation():
     with pytest.raises(ValueError):
         tiny_config(algorithms=("dp-gd", "dp-fancy"))
     with pytest.raises(ValueError):
-        tiny_config(x0=(1.0,))
-    with pytest.raises(ValueError):
         tiny_config(workers=0)
     with pytest.raises(ValueError):
         tiny_config(replicates=0)
     for e0 in (-1.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="e0_guess"):
             tiny_config(e0_guess=e0)
+    # numpy integers are integers, kept as Python ints so JSON writes them as such
+    cfg = tiny_config(d=np.int64(3), m_values=(np.int64(40),), replicates=np.int32(2))
+    assert (cfg.d, cfg.m_values, cfg.replicates) == (3, (40,), 2)
+    assert all(type(v) is int for v in (cfg.d, *cfg.m_values, cfg.replicates))
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +491,20 @@ def test_summarize_best_over_T():
     assert "dp-gd" in table and "0.2" in table
 
 
+def test_summarize_orders_cells_by_number():
+    # string order would put m=2000 before m=500 and T=100 before T=50
+    traces = [
+        synthetic_trace([1.0] * (T + 1), m=m, T=T, c=c)
+        for m in (2000, 500) for T in (100, 50) for c in (1.0, 0.5, None)
+    ]
+    summary = summarize(traces)
+    cells = [(r["m"], r["T"], r["c"]) for r in summary["records"]]
+    assert cells == [(m, T, c) for m in (500, 2000) for T in (50, 100) for c in (0.5, 1.0, None)]
+    rows = [line.split()[1:4] for line in comparison_table(summary).splitlines()[1:]]
+    # every T ties, so the best T is the smallest
+    assert rows == [[m, c, "50"] for m in ("500", "2000") for c in ("0.5", "1.0", "-")]
+
+
 def test_summarize_rejects_mismatches():
     with pytest.raises(ValueError, match="no traces"):
         summarize([])
@@ -616,10 +644,27 @@ def test_import_loads_no_scipy():
     # of every command
     src = str(Path(dpaccel.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, dpaccel; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = ("import sys, dpaccel\n"
+            "for top in ('scipy', 'dpaccel'):\n"
+            "    print(sorted(m for m in sys.modules if m.split('.')[0] == top))")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True)
-    assert done.stdout.strip() == "[]"
+    scipy_modules, dpaccel_modules = done.stdout.splitlines()
+    assert scipy_modules == "[]"
+    # the package loads its layers and nothing else (no CLI, no plotting)
+    layers = ("_table", "budget_allocator", "certification", "harness", "objectives",
+              "optimizers", "privacy_core")
+    assert dpaccel_modules == str(["dpaccel"] + [f"dpaccel.{name}" for name in layers])
+
+
+def test_readme_config_loads(tmp_path):
+    # the minimal config.json in README names only keys ExperimentConfig knows
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("A minimal `config.json`", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "config.json"
+    path.write_text(block)
+    cfg = ExperimentConfig.from_json(path)
+    assert cfg.m_values == (500, 2000) and cfg.seed_list == [1000 + r for r in range(5)]
 
 
 def test_cli_certify(tmp_path):
@@ -689,18 +734,14 @@ def test_cli_run_workers_sets_the_config(tmp_path):
 
 def test_cli_run_seed_base_sets_the_config(tmp_path):
     cfg_path = tmp_path / "config.json"
-    tiny = dict(algorithms=("dp-gd",), m_values=(40,), T_values=(5,))
-    tiny_config(**tiny, seeds=(3, 4, 5)).to_json(cfg_path)
+    tiny_config(algorithms=("dp-gd",), m_values=(40,), T_values=(5,)).to_json(cfg_path)
     args = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
     assert main(args + ["--seed-base", "50"]) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-    assert (summary["config"]["seed_base"], summary["config"]["seeds"]) == (50, None)
+    # the override sets seed_base and nothing else
+    assert summary["config"] == {**json.loads(cfg_path.read_text()), "seed_base": 50}
     seeds = sorted(p.stem.rsplit("_", 1)[1] for p in (tmp_path / "out" / "traces").glob("*.csv"))
     assert seeds == ["50", "51"]
-    # without seeds the config needs replicates, as when it is loaded
-    tiny_config(**tiny, seeds=(3,), replicates=0).to_json(cfg_path)
-    with pytest.raises(ValueError, match="replicate"):
-        main(args + ["--seed-base", "50"])
 
 
 def test_cli_summarize_trace_outside_grid(tmp_path, capsys):
