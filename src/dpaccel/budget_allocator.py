@@ -58,8 +58,6 @@ class BoundCoefficients:
 
     a0: float
     a: np.ndarray
-    kind: str = ""
-    stages: StageSchedule | None = None
     factors: tuple = ()
 
     def __post_init__(self):
@@ -89,7 +87,7 @@ def nag_coefficients(mu: float, L: float, alpha: float, T: int) -> BoundCoeffici
     q = 1.0 - np.sqrt(mu * alpha)
     k = alpha * (1.0 + alpha * L)
     a = q ** np.arange(T - 1, -1, -1.0) * k
-    return BoundCoefficients(a0=q**T, a=a, kind="nag", factors=((T, float(q), k),))
+    return BoundCoefficients(a0=q**T, a=a, factors=((T, float(q), k),))
 
 
 def masg_coefficients(stages: StageSchedule, mu: float, L: float) -> BoundCoefficients:
@@ -126,7 +124,7 @@ def masg_coefficients(stages: StageSchedule, mu: float, L: float) -> BoundCoeffi
     a *= (1.0 + alphas * L).repeat(lengths)
     a0 = 2.0 ** (s_T - 1) * suffix[0]
     factors = tuple(zip(lengths, q.tolist(), (alphas * (1.0 + alphas * L)).tolist()))
-    return BoundCoefficients(a0=a0, a=a, kind="masg", stages=stages, factors=factors)
+    return BoundCoefficients(a0=a0, a=a, factors=factors)
 
 
 def masg_coefficients_for(mu: float, L: float, c: float, p: int, T: int) -> BoundCoefficients:

@@ -140,6 +140,7 @@ def reference_optimum(obj):
 
     Returns (xstar, fstar, grad_norm) for the best iterate seen.  With the
     desk-scale conditioning this converges in a few hundred iterations.
+    From obj it reads d, mu and L and calls full_gradient(x) and value(x).
     """
     alpha = 1.0 / obj.L
     beta = nesterov_momentum(alpha, obj.mu) if obj.mu * alpha < 1 else 0.0

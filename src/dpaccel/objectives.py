@@ -1,9 +1,9 @@
-"""Finite-sum objectives with the gradient access patterns the optimizers need.
+"""Synthetic logistic data and the ridge-regularized logistic objective.
 
-Every objective exposes full and minibatch mean gradients, strong-convexity
-and smoothness constants, and (where meaningful) an L1 bound on how much one
-record can move a single per-record gradient.  Objective values come in one
-vectorised form, ``values(X)`` over the rows of a (k, d) array; the
+LogisticObjective gives the optimizers full and minibatch mean gradients,
+its strong-convexity and smoothness constants, and an L1 bound on how much
+one record can move a single per-record gradient.  Objective values come in
+one vectorised form, ``values(X)`` over the rows of a (k, d) array; the
 optimizers log suboptimality by evaluating a whole run's iterates in one
 call after the run, and ``value(x)`` is ``values(x[None])[0]``.
 """
@@ -49,33 +49,6 @@ def _sigmoid(x):
         return 1.0 / (1.0 + np.exp(np.maximum(np.negative(x), _SIGMOID_EXP_FLOOR)))
 
 
-class Objective:
-    """Interface shared by all objectives (duck-typed, minimal)."""
-
-    n: int
-    d: int
-    mu: float
-    L: float
-
-    def value(self, x: np.ndarray) -> float:
-        return float(self.values(np.asarray(x, dtype=float)[None])[0])
-
-    def values(self, X: np.ndarray) -> np.ndarray:
-        """F at each row of the (k, d) array X, as a (k,) array."""
-        raise NotImplementedError
-
-    def full_gradient(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def minibatch_gradient(self, x: np.ndarray, idx) -> np.ndarray:
-        """Mean gradient over the records in idx (idx=None means all)."""
-        raise NotImplementedError
-
-    def sensitivity_bound(self) -> float:
-        """Sup over datasets/points of the L1 change of one record's gradient."""
-        raise NotImplementedError
-
-
 @dataclass
 class Dataset:
     """Binary-labelled covariate matrix with bounded per-row L1 norm."""
@@ -93,9 +66,12 @@ class Dataset:
             raise ValueError("U must be (n, d) with one label per row")
         if not np.all(np.isin(self.z, (-1.0, 1.0))):
             raise ValueError("labels must be in {-1, +1}")
+        if not np.isfinite(self.u_max):
+            raise ValueError(f"u_max must be finite, got {self.u_max}")
+        # <= rather than >, so that a row with a NaN entry fails too
         row_norms = np.abs(self.U).sum(axis=1)
-        if np.any(row_norms > self.u_max * (1 + 1e-12)):
-            raise ValueError("a row exceeds the declared L1 bound u_max")
+        if not np.all(row_norms <= self.u_max * (1 + 1e-12)):
+            raise ValueError("a row is not finite or exceeds the declared L1 bound u_max")
 
     @property
     def n(self) -> int:
@@ -138,8 +114,8 @@ def generate_synthetic(
     """
     if d < 1 or n < 1:
         raise ValueError(f"need d >= 1 and n >= 1, got d={d}, n={n}")
-    if u_max <= 0:
-        raise ValueError(f"u_max must be positive, got {u_max}")
+    if not 0 < u_max < np.inf:
+        raise ValueError(f"u_max must be finite and positive, got {u_max}")
     stream = RngStream(seed)
     raw = stream.uniform(-1.0, 1.0, (n, d))
     beta = stream.uniform(0.5, 1.0, n)
@@ -158,7 +134,7 @@ def generate_synthetic(
     return Dataset(U=U, z=z, u_max=float(u_max), seed=int(seed), x_true=x_true)
 
 
-class LogisticObjective(Objective):
+class LogisticObjective:
     """Ridge-regularized logistic loss (minimization form).
 
     F(x) = (1/n) sum_i log(1 + exp(-z_i u_i^T x)) + lam ||x||^2.
@@ -171,8 +147,8 @@ class LogisticObjective(Objective):
     """
 
     def __init__(self, dataset: Dataset, lam: float):
-        if lam <= 0:
-            raise ValueError(f"ridge weight must be positive, got {lam}")
+        if not 0 < lam < np.inf:
+            raise ValueError(f"ridge weight must be finite and positive, got {lam}")
         self.dataset = dataset
         self.U = dataset.U
         self.z = dataset.z
@@ -197,9 +173,13 @@ class LogisticObjective(Objective):
             self._L = float(np.linalg.eigvalsh(M)[-1])
         return self._L
 
-    def values(self, X: np.ndarray) -> np.ndarray:
-        """F at each row of X; the loss term is the stable softplus of the margins.
+    def value(self, x: np.ndarray) -> float:
+        return float(self.values(np.asarray(x, dtype=float)[None])[0])
 
+    def values(self, X: np.ndarray) -> np.ndarray:
+        """F at each row of the (k, d) array X, as a (k,) array.
+
+        The loss term is the stable softplus of the margins:
         log(1 + exp(-s)) = max(-s, 0) + log1p(exp(-|s|)), computed in place
         on blocks of rows of -z * (X U^T), with |s| capped at _SOFTPLUS_CAP.
         Each row is summed along its contiguous axis, so numpy adds it
@@ -226,6 +206,7 @@ class LogisticObjective(Objective):
         return self.minibatch_gradient(x, None)
 
     def minibatch_gradient(self, x: np.ndarray, idx) -> np.ndarray:
+        """Mean gradient over the records in idx (idx=None means all)."""
         if idx is None:
             U, z = self.U, self.z
         else:
@@ -234,64 +215,6 @@ class LogisticObjective(Objective):
         w = z * _sigmoid(-s)
         return -(U.T @ w) / len(z) + 2.0 * self.lam * x
 
-    def per_record_gradient(self, x: np.ndarray, i: int) -> np.ndarray:
-        u, zi = self.U[i], self.z[i]
-        return -zi * u * _sigmoid(-zi * (u @ x)) + 2.0 * self.lam * x
-
     def sensitivity_bound(self) -> float:
         return 2.0 * self.u_max
 
-
-class QuadraticObjective(Objective):
-    """F(x) = 0.5 x^T Q x + q^T x with optional per-record linear terms.
-
-    With records, F(x) = (1/n) sum_i [0.5 x^T Q x + (q + r_i)^T x]; the r_i
-    must average to zero so the full objective is unchanged and minibatch
-    gradients are unbiased.  Per-record gradient sensitivity has no a-priori
-    bound here, so it must be supplied when needed.
-    """
-
-    def __init__(self, Q: np.ndarray, q: np.ndarray | None = None,
-                 records: np.ndarray | None = None, sensitivity: float | None = None):
-        self.Q = np.asarray(Q, dtype=float)
-        if self.Q.ndim != 2 or self.Q.shape[0] != self.Q.shape[1]:
-            raise ValueError("Q must be square")
-        if not np.allclose(self.Q, self.Q.T, atol=1e-12):
-            raise ValueError("Q must be symmetric")
-        self.d = self.Q.shape[0]
-        self.q = np.zeros(self.d) if q is None else np.asarray(q, dtype=float)
-        if records is not None:
-            records = np.asarray(records, dtype=float)
-            if records.shape[1] != self.d:
-                raise ValueError("records must be (n, d)")
-            mean_r = records.mean(axis=0)
-            if np.max(np.abs(mean_r)) > 1e-9:
-                raise ValueError("per-record linear terms must average to zero")
-        self.records = records
-        self.n = 1 if records is None else records.shape[0]
-        self._sensitivity = sensitivity
-        self.eigenvalues = np.linalg.eigvalsh(self.Q)
-        if self.eigenvalues[0] <= 0:
-            raise ValueError("Q must be positive definite")
-        self.mu = float(self.eigenvalues[0])
-        self.L = float(self.eigenvalues[-1])
-        self.minimizer = np.linalg.solve(self.Q, -self.q)
-        self.fstar = self.value(self.minimizer)
-
-    def values(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        return 0.5 * np.einsum("ij,ij->i", X @ self.Q, X) + X @ self.q
-
-    def full_gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.Q @ x + self.q
-
-    def minibatch_gradient(self, x: np.ndarray, idx) -> np.ndarray:
-        base = self.Q @ x + self.q
-        if idx is None or self.records is None:
-            return base
-        return base + self.records[idx].mean(axis=0)
-
-    def sensitivity_bound(self) -> float:
-        if self._sensitivity is None:
-            raise ValueError("no gradient sensitivity bound was supplied for this quadratic")
-        return self._sensitivity

@@ -184,6 +184,10 @@ def run(
     T+1 rows; row 0 is the initial point with zero leak.  With
     record_iterates the trace keeps that (T+1, d) array.
 
+    From obj, run reads n, d and mu (for dp-masg's momentum), calls
+    minibatch_gradient(x, idx) once per iteration (idx=None when m = n),
+    and calls values(X) once on the (T+1, d) iterates.
+
     dp-masg takes (alpha, beta) from its stage plan: stepsize c/L in stage 1,
     c/16L in stage 2 and 4x smaller in each stage after that, with beta the
     Nesterov momentum of the stage's stepsize.  At the first iteration of

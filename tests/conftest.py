@@ -6,7 +6,9 @@ deadline (a slow or busy host does not fail a test) and a fixed number of
 examples, so that the suite is reproducible and its duration bounded.
 
 The smoothed_heavy_ball fixture is an independent replay of the paper's
-smoothed heavy-ball form, which dp-hb reparametrises.
+smoothed heavy-ball form, which dp-hb reparametrises.  The quadratic fixture
+builds F(x) = 0.5 x^T Q x + q^T x as a one-record objective, for tests whose
+reference is a closed-form minimizer or an exact rate.
 """
 
 import numpy as np
@@ -46,3 +48,40 @@ def _smoothed_heavy_ball(obj, alpha, beta, m, schedule, seed, x0):
 @pytest.fixture
 def smoothed_heavy_ball():
     return _smoothed_heavy_ball
+
+
+class _Quadratic:
+    """F(x) = 0.5 x^T Q x + q^T x with Q symmetric positive definite.
+
+    One record (n = 1), so a minibatch gradient is the full gradient
+    whatever idx it is given.
+    """
+
+    n = 1
+
+    def __init__(self, Q, q=None):
+        self.Q = np.asarray(Q, dtype=float)
+        self.d = self.Q.shape[0]
+        self.q = np.zeros(self.d) if q is None else np.asarray(q, dtype=float)
+        eigenvalues = np.linalg.eigvalsh(self.Q)
+        self.mu, self.L = float(eigenvalues[0]), float(eigenvalues[-1])
+        self.minimizer = np.linalg.solve(self.Q, -self.q)
+        self.fstar = self.value(self.minimizer)
+
+    def values(self, X):
+        X = np.asarray(X, dtype=float)
+        return 0.5 * np.einsum("ij,ij->i", X @ self.Q, X) + X @ self.q
+
+    def value(self, x):
+        return float(self.values(np.asarray(x, dtype=float)[None])[0])
+
+    def full_gradient(self, x):
+        return self.Q @ x + self.q
+
+    def minibatch_gradient(self, x, idx):
+        return self.full_gradient(x)
+
+
+@pytest.fixture
+def quadratic():
+    return _Quadratic

@@ -36,7 +36,6 @@ from dpaccel.certification import (
     search_certificate,
 )
 from dpaccel.harness import GRID_ALGORITHMS, ExperimentConfig, run_grid, summarize
-from dpaccel.objectives import QuadraticObjective
 from dpaccel.optimizers import (
     HyperParams,
     masg_stage_schedule,
@@ -172,9 +171,9 @@ def test_acceptance_03_closed_form_allocation_is_optimal():
             mu = rng.uniform(0.05, 0.5)
             L = mu + rng.uniform(0.5, 3.0)
             alpha = rng.uniform(0.3, 1.0) / L
-            coeff_sets.append(nag_coefficients(mu, L, alpha, T))
-        coeff_sets.append(masg_coefficients_for(0.1, 1.0, 0.8, 1, T))
-        for coeffs in coeff_sets:
+            coeff_sets.append(("nag", nag_coefficients(mu, L, alpha, T)))
+        coeff_sets.append(("masg", masg_coefficients_for(0.1, 1.0, 0.8, 1, T)))
+        for kind, coeffs in coeff_sets:
             opt = optimal_schedule(coeffs, S1, n, eps)
             opt_val = float(objective(coeffs, opt.b))
             splits = rng.dirichlet(np.ones(T), size=1000) + 1e-6
@@ -182,7 +181,7 @@ def test_acceptance_03_closed_form_allocation_is_optimal():
             assert abs(_leak(S1, feasible_b(splits[0]), n, n) - eps) < 1e-9
             vals = objective(coeffs, feasible_b(splits))
             assert vals.min() >= opt_val - 1e-9, (
-                f"T={T} kind={coeffs.kind}: random schedule beat the closed "
+                f"T={T} kind={kind}: random schedule beat the closed "
                 f"form by {opt_val - vals.min():.3e}"
             )
 
@@ -217,16 +216,17 @@ def test_acceptance_04_optimized_schedule_beats_uniform(desk_grid):
         n = int(rng.integers(100, 1_000_000))
         d = int(rng.integers(1, 50))
         E0 = 10.0 ** rng.uniform(-1, 2)
-        for coeffs in (
-            nag_coefficients(mu, L, alpha, T),
-            masg_coefficients_for(mu, L, rng.uniform(0.3, 1.0), int(rng.integers(1, 3)), T),
+        for kind, coeffs in (
+            ("nag", nag_coefficients(mu, L, alpha, T)),
+            ("masg", masg_coefficients_for(mu, L, rng.uniform(0.3, 1.0),
+                                           int(rng.integers(1, 3)), T)),
         ):
             uni = uniform_scale(S1, eps, len(coeffs.a), n, n)
             bound_uni = bound_value(coeffs, uni.b, d, E0)
             bound_opt = optimized_bound_value(coeffs, S1, n, eps, d, E0)
             assert bound_opt <= bound_uni * (1 + 1e-12), (
                 f"optimized bound {bound_opt:.6g} > uniform {bound_uni:.6g} "
-                f"(kind={coeffs.kind} T={T})"
+                f"(kind={kind} T={T})"
             )
 
     # (b) in the measured grid at c = 1: budget-optimized variants at or
@@ -354,13 +354,13 @@ def test_acceptance_06_quadratic_noise_envelope():
     assert elapsed < 300.0, f"envelope sweep took {elapsed:.1f}s"
 
 
-def test_acceptance_07_tuned_heavy_ball_rate_recovery():
+def test_acceptance_07_tuned_heavy_ball_rate_recovery(quadratic):
     # noiseless heavy ball at the tuned stepsize/momentum on a conditioning-2
     # spectrum: fitted log-slope matches twice the log of the tuned rate
     mu, L = 0.5, 1.0
     alpha = 4.0 / (np.sqrt(mu) + np.sqrt(L)) ** 2
     beta = polyak_momentum(mu, L)
-    obj = QuadraticObjective(np.diag([mu, L]))
+    obj = quadratic(np.diag([mu, L]))
     T = 160
     tr = run(
         "dp-hb", obj, HyperParams(alpha=alpha, T=T, m=1, beta=beta),
@@ -373,7 +373,7 @@ def test_acceptance_07_tuned_heavy_ball_rate_recovery():
     assert abs(slope - target) < 0.05, f"slope {slope:.4f} vs target {target:.4f}"
 
 
-def test_acceptance_08_certificates_sound_against_simulation():
+def test_acceptance_08_certificates_sound_against_simulation(quadratic):
     # every certificate the search returns must re-check as PSD with a
     # general-purpose eigensolver, and noiseless decay must not be slower
     # than the certified rate (0.05 log-slope tolerance)
@@ -392,7 +392,7 @@ def test_acceptance_08_certificates_sound_against_simulation():
         lo = float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
         assert lo >= -1e-9, f"certificate re-check failed: min eig {lo:.3e}"
 
-        obj = QuadraticObjective(np.diag([mu, L]))
+        obj = quadratic(np.diag([mu, L]))
         T = 400
         tr = run(
             "dp-hb", obj, HyperParams(alpha=alpha, T=T, m=1, beta=beta),
@@ -426,7 +426,7 @@ def test_acceptance_09_laplace_sampler_variance():
         )
 
 
-def test_acceptance_10_stage_arithmetic_and_single_stage_equivalence():
+def test_acceptance_10_stage_arithmetic_and_single_stage_equivalence(quadratic):
     # conditioning 20, doubling target 2^(1+2): unit = ceil(sqrt(20) ln 8) = 10,
     # stage lengths 10/40/80, stepsizes c/L, c/16L, c/64L
     assert int(np.ceil(np.sqrt(20.0) * np.log(8.0))) == 10
@@ -440,7 +440,7 @@ def test_acceptance_10_stage_arithmetic_and_single_stage_equivalence():
     T = 8
     single = masg_stage_schedule(mu=0.05, L=1.0, c=0.7, p=1, T=T)
     assert single.lengths == (T,)
-    obj = QuadraticObjective(np.array([[1.0]]))
+    obj = quadratic(np.array([[1.0]]))
     eps = np.full(T, 0.01)
     sched = NoiseSchedule(b=np.full(T, 0.8), eps=eps, provenance="test")
     x0 = np.array([3.0])
@@ -456,7 +456,7 @@ def test_acceptance_10_stage_arithmetic_and_single_stage_equivalence():
     assert np.array_equal(a.subopt, b.subopt)
 
 
-def test_acceptance_11_momentum_form_equivalence(smoothed_heavy_ball):
+def test_acceptance_11_momentum_form_equivalence(smoothed_heavy_ball, quadratic):
     # dp-hb (the iterate-difference form) and an independent replay of the
     # smoothed-average form agree to 1e-10 over 100 steps for random
     # (alpha, beta) and shared noise
@@ -465,7 +465,7 @@ def test_acceptance_11_momentum_form_equivalence(smoothed_heavy_ball):
     for trial in range(5):
         d = 3
         A = rng.normal(size=(d, d))
-        obj = QuadraticObjective(A @ A.T / d + 0.1 * np.eye(d))
+        obj = quadratic(A @ A.T / d + 0.1 * np.eye(d))
         alpha = rng.uniform(0.05, 1.0) / obj.L
         beta = rng.uniform(0.05, 0.95)
         eps = np.full(T, 0.01)

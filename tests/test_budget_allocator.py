@@ -56,7 +56,7 @@ def test_nag_coefficients_hand_case():
     assert co.a0 == pytest.approx(0.25)
     assert co.a == pytest.approx([1.0, 2.0])
     assert co.T == 2
-    assert co.kind == "nag"
+    assert co.factors == ((2, 0.5, 2.0),)
 
 
 def test_nag_coefficients_match_recursion():
@@ -241,8 +241,7 @@ def test_masg_single_stage_equals_nag():
 
 def test_masg_convenience_builder():
     co = masg_coefficients_for(0.05, 1.0, 1.0, 1, 60)
-    assert co.kind == "masg"
-    assert co.stages.lengths == (10, 40, 10)
+    assert [length for length, _, _ in co.factors] == [10, 40, 10]
     assert co.T == 60
 
 
@@ -455,10 +454,11 @@ def test_select_horizon_needs_stage_factors():
 def test_masg_opt_allocation_structure():
     # later stages carry smaller a_t (smaller stepsize), so their optimal
     # scales are larger within the tail; within a stage scales decrease
-    co = masg_coefficients_for(0.02, 0.86, 1.0, 1, 200)
+    stages = masg_stage_schedule(0.02, 0.86, 1.0, 1, 200)
+    co = masg_coefficients(stages, 0.02, 0.86)
     sched = optimal_schedule(co, 40.0, 10**4, 1.0)
-    stage_it = np.array([stage_of(co.stages, t) for t in range(1, co.T + 1)])
-    for k in range(1, co.stages.stages + 1):
+    stage_it = np.array([stage_of(stages, t) for t in range(1, co.T + 1)])
+    for k in range(1, stages.stages + 1):
         seg = sched.b[stage_it == k]
         assert np.all(np.diff(seg) < 0)
     assert sched.total_epsilon == pytest.approx(1.0, abs=1e-9)

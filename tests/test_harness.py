@@ -27,7 +27,7 @@ from dpaccel.harness import (
     run_grid,
     summarize,
 )
-from dpaccel.objectives import Dataset, LogisticObjective, QuadraticObjective, generate_synthetic
+from dpaccel.objectives import Dataset, LogisticObjective, generate_synthetic
 from dpaccel.optimizers import (
     HyperParams,
     Trace,
@@ -142,12 +142,12 @@ def test_config_validation():
 # reference_optimum
 
 
-def test_reference_optimum_quadratic_matches_solve():
+def test_reference_optimum_quadratic_matches_solve(quadratic):
     rng = np.random.default_rng(0)
     G = rng.normal(size=(4, 4))
     Q = G @ G.T + 0.5 * np.eye(4)
     q = rng.normal(size=4)
-    obj = QuadraticObjective(Q, q)
+    obj = quadratic(Q, q)
     xstar, fstar, gnorm = reference_optimum(obj)
     np.testing.assert_allclose(xstar, obj.minimizer, atol=1e-8)
     assert fstar == pytest.approx(obj.fstar, abs=1e-12)
@@ -263,7 +263,8 @@ def _replay_plan_cell(algo, obj, m, T, c, epsilon, e0, p):
     if algo == "dp-nag-opt":
         hp = HyperParams(alpha=alpha, T=T_eff, m=m, beta=nesterov_momentum(alpha, mu))
         return "dp-nag", hp, sched
-    hp = HyperParams(alpha=coeffs.stages.alphas[0], T=T_eff, m=m, stages=coeffs.stages)
+    stages = masg_stage_schedule(mu, L, c, p, T_eff)
+    hp = HyperParams(alpha=stages.alphas[0], T=T_eff, m=m, stages=stages)
     return "dp-masg", hp, sched
 
 

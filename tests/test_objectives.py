@@ -8,7 +8,6 @@ import pytest
 from dpaccel.objectives import (
     Dataset,
     LogisticObjective,
-    QuadraticObjective,
     _sigmoid,
     generate_synthetic,
 )
@@ -83,8 +82,9 @@ def test_sigmoid_matches_libm_reference():
 def test_synthetic_validation():
     with pytest.raises(ValueError):
         generate_synthetic(0, 10, 1.0, 0)
-    with pytest.raises(ValueError):
-        generate_synthetic(3, 10, -1.0, 0)
+    for u_max in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            generate_synthetic(3, 10, u_max, 0)
 
 
 def test_dataset_validation():
@@ -94,6 +94,11 @@ def test_dataset_validation():
         Dataset(U=np.ones((3, 2)), z=np.ones(3), u_max=1.0)  # rows have L1=2
     with pytest.raises(ValueError):
         Dataset(U=np.ones((3, 2)), z=np.ones(2), u_max=5.0)
+    with pytest.raises(ValueError):
+        Dataset(U=np.array([[1.0, np.nan]]), z=np.ones(1), u_max=5.0)
+    for u_max in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            Dataset(U=np.ones((3, 2)), z=np.ones(3), u_max=u_max)
 
 
 def test_dataset_csv_roundtrip(tmp_path):
@@ -172,13 +177,12 @@ def test_logistic_values_exact_at_underflowing_margins():
 
 def test_value_is_first_row_of_values():
     rng = np.random.default_rng(2)
-    Q = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 3.0]])
-    for obj in (small_logistic(d=3), QuadraticObjective(Q, q=np.array([1.0, -2.0, 0.5]))):
-        for _ in range(5):
-            x = rng.normal(size=3) * 10.0
-            got = obj.value(x)
-            assert isinstance(got, float)
-            assert got == obj.values(x[None])[0]
+    obj = small_logistic(d=3)
+    for _ in range(5):
+        x = rng.normal(size=3) * 10.0
+        got = obj.value(x)
+        assert isinstance(got, float)
+        assert got == obj.values(x[None])[0]
 
 
 def test_logistic_gradient_finite_differences():
@@ -227,7 +231,7 @@ def test_logistic_minibatch_enumeration():
     assert np.allclose(avg, obj.full_gradient(x), rtol=1e-12, atol=1e-14)
     # and each subset gradient is the mean of its per-record gradients
     for s in subsets:
-        per = np.mean([obj.per_record_gradient(x, i) for i in s], axis=0)
+        per = np.mean([obj.minibatch_gradient(x, np.array([i])) for i in s], axis=0)
         assert np.allclose(per, obj.minibatch_gradient(x, np.array(s)), atol=1e-14)
 
 
@@ -241,14 +245,14 @@ def test_logistic_sensitivity_bound_holds():
     for _ in range(300):
         x = rng.normal(scale=5.0, size=obj.d)
         i, j = rng.integers(0, obj.n, size=2)
-        diff = obj.per_record_gradient(x, i) - obj.per_record_gradient(x, j)
+        diff = obj.minibatch_gradient(x, np.array([i])) - obj.minibatch_gradient(x, np.array([j]))
         worst = max(worst, np.abs(diff).sum())
     assert worst <= S1 * (1 + 1e-12)
     # the bound is within reach: orthogonal rows, both sigmoids saturated
     U = np.array([[3.0, 0.0], [0.0, -3.0]])
     tight = LogisticObjective(Dataset(U=U, z=np.array([1.0, 1.0]), u_max=3.0), 0.1)
     x = np.array([-20.0, 20.0])
-    d01 = tight.per_record_gradient(x, 0) - tight.per_record_gradient(x, 1)
+    d01 = tight.minibatch_gradient(x, np.array([0])) - tight.minibatch_gradient(x, np.array([1]))
     assert np.abs(d01).sum() > 0.99 * S1
 
 
@@ -257,47 +261,26 @@ def test_logistic_smoothness_constant():
     M = obj.U.T @ obj.U / obj.n + 2 * obj.lam * np.eye(obj.d)
     assert obj.L == pytest.approx(np.linalg.eigvalsh(M)[-1], rel=1e-6)
     assert obj.mu == 2 * obj.lam
-    with pytest.raises(ValueError):
-        LogisticObjective(obj.dataset, lam=0.0)
+    for lam in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            LogisticObjective(obj.dataset, lam=lam)
 
 
-def test_quadratic_basics():
+def test_quadratic_basics(quadratic):
     Q = np.diag([0.5, 1.0, 2.0])
     q = np.array([1.0, -1.0, 0.5])
-    obj = QuadraticObjective(Q, q)
+    obj = quadratic(Q, q)
     assert obj.mu == 0.5 and obj.L == 2.0
     assert np.allclose(obj.minimizer, -np.linalg.solve(Q, q))
     assert np.allclose(obj.full_gradient(obj.minimizer), 0.0, atol=1e-12)
     x = np.array([1.0, 2.0, 3.0])
     assert obj.value(x) == pytest.approx(0.5 * x @ Q @ x + q @ x)
+    assert obj.value(x) == obj.values(x[None])[0]
+    assert np.array_equal(obj.minibatch_gradient(x, np.array([0])), obj.full_gradient(x))
     # fstar is the attained minimum
     rng = np.random.default_rng(3)
     for _ in range(50):
         assert obj.value(obj.minimizer + rng.normal(size=3)) >= obj.fstar
-
-
-def test_quadratic_records():
-    rng = np.random.default_rng(4)
-    records = rng.normal(size=(10, 2))
-    records -= records.mean(axis=0)
-    obj = QuadraticObjective(np.eye(2), records=records, sensitivity=1.0)
-    x = np.array([0.5, -0.5])
-    assert np.allclose(obj.minibatch_gradient(x, None), obj.full_gradient(x))
-    got = obj.minibatch_gradient(x, np.array([0, 3]))
-    want = obj.full_gradient(x) + records[[0, 3]].mean(axis=0)
-    assert np.allclose(got, want)
-    assert obj.sensitivity_bound() == 1.0
-    with pytest.raises(ValueError):
-        QuadraticObjective(np.eye(2), records=rng.normal(size=(10, 2)) + 5.0)
-
-
-def test_quadratic_validation():
-    with pytest.raises(ValueError):
-        QuadraticObjective(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        QuadraticObjective(np.diag([1.0, -0.5]))
-    with pytest.raises(ValueError):
-        QuadraticObjective(np.diag([1.0, 1.0])).sensitivity_bound()
 
 
 def test_logistic_L_is_top_eigenvalue():

@@ -7,7 +7,7 @@ import pytest
 from dpaccel._table import _CSV_CHUNK
 from dpaccel.cli import _write_bound_csv
 from dpaccel.harness import _write_curve_csvs
-from dpaccel.objectives import Dataset, LogisticObjective, QuadraticObjective, generate_synthetic
+from dpaccel.objectives import Dataset, LogisticObjective, generate_synthetic
 from dpaccel.optimizers import (
     ALGORITHMS,
     HyperParams,
@@ -21,12 +21,12 @@ from dpaccel.optimizers import (
 from dpaccel.privacy_core import NoiseSchedule, PrivacyAccount, RngStream, uniform_scale
 
 
-def quad1d():
-    return QuadraticObjective(np.array([[1.0]]))
+def quad1d(quadratic):
+    return quadratic(np.array([[1.0]]))
 
 
-def noisy_setup(T, b=0.5, n_records=None):
-    obj = quad1d()
+def noisy_setup(quadratic, T, b=0.5):
+    obj = quad1d(quadratic)
     eps = np.full(T, 0.01)
     sched = NoiseSchedule(b=np.full(T, b), eps=eps, provenance="test")
     acct = PrivacyAccount(epsilon_total=float(eps.sum()) + 1e-12, T=T, n=1, m=1)
@@ -52,8 +52,8 @@ def test_momentum_formulas():
         polyak_momentum(2.0, 1.0)
 
 
-def test_gd_single_step():
-    obj, _, _ = noisy_setup(1)
+def test_gd_single_step(quadratic):
+    obj, _, _ = noisy_setup(quadratic, 1)
     hp = HyperParams(alpha=0.5, T=1, m=1)
     trace = run("dp-gd", obj, hp, no_noise(1),
                 PrivacyAccount(1.0, 1, 1, 1), RngStream(0), np.array([1.0]),
@@ -62,9 +62,9 @@ def test_gd_single_step():
     assert trace.subopt[1] == pytest.approx(0.5 * 0.25)
 
 
-def test_gd_contracts_per_step():
+def test_gd_contracts_per_step(quadratic):
     Q = np.diag([0.5, 1.0, 1.5])
-    obj = QuadraticObjective(Q)
+    obj = quadratic(Q)
     hp = HyperParams(alpha=1 / obj.L, T=30, m=1)
     trace = run("dp-gd", obj, hp, no_noise(30), PrivacyAccount(1.0, 30, 1, 1),
                 RngStream(0), np.array([2.0, -1.0, 0.5]), obj.fstar,
@@ -74,27 +74,27 @@ def test_gd_contracts_per_step():
     assert np.all(dist[1:] <= rate * dist[:-1] + 1e-15)
 
 
-def test_hb_hand_recursion():
-    obj = quad1d()
+def test_hb_hand_recursion(quadratic):
+    obj = quad1d(quadratic)
     hp = HyperParams(alpha=1.0, T=3, m=1, beta=0.5)
     trace = run("dp-hb", obj, hp, no_noise(3), PrivacyAccount(1.0, 3, 1, 1),
                 RngStream(0), np.array([1.0]), obj.fstar, record_iterates=True)
     assert trace.iterates[:, 0] == pytest.approx([1.0, 0.0, -0.5, -0.25], abs=1e-15)
 
 
-def test_nag_hand_recursion():
+def test_nag_hand_recursion(quadratic):
     # alpha=1 on unit quadratic solves in one step; momentum keeps it there
-    obj = quad1d()
+    obj = quad1d(quadratic)
     hp = HyperParams(alpha=1.0, T=3, m=1, beta=1 / 3)
     trace = run("dp-nag", obj, hp, no_noise(3), PrivacyAccount(1.0, 3, 1, 1),
                 RngStream(0), np.array([1.0]), obj.fstar, record_iterates=True)
     assert trace.iterates[:, 0] == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-15)
 
 
-def test_beta_zero_reductions():
+def test_beta_zero_reductions(quadratic):
     # with beta=0, hb and nag both replay gd's trajectory bitwise
     T = 50
-    obj, sched, _ = noisy_setup(T)
+    obj, sched, _ = noisy_setup(quadratic, T)
     x0 = np.array([2.0])
     ref = run("dp-gd", obj, HyperParams(alpha=0.1, T=T, m=1), sched,
               PrivacyAccount(1.0, T, 1, 1), RngStream(11), x0, obj.fstar,
@@ -106,7 +106,7 @@ def test_beta_zero_reductions():
         assert np.array_equal(tr.iterates, ref.iterates), algo
 
 
-def test_hb_smoothed_form_equivalence(smoothed_heavy_ball):
+def test_hb_smoothed_form_equivalence(smoothed_heavy_ball, quadratic):
     # dp-hb and an independent replay of the smoothed heavy-ball form agree
     # to 1e-10 over 100 steps, shared noise
     rng = np.random.default_rng(0)
@@ -114,7 +114,7 @@ def test_hb_smoothed_form_equivalence(smoothed_heavy_ball):
         alpha = rng.uniform(0.05, 1.0)
         beta = rng.uniform(0.0, 0.95)
         T = 100
-        obj, sched, _ = noisy_setup(T, b=0.3)
+        obj, sched, _ = noisy_setup(quadratic, T, b=0.3)
         x0 = rng.normal(size=1)
         a = run("dp-hb", obj, HyperParams(alpha=alpha, T=T, m=1, beta=beta), sched,
                 PrivacyAccount(1.0, T, 1, 1), RngStream(trial), x0, obj.fstar,
@@ -147,9 +147,9 @@ def test_stage_schedule_validation():
         StageSchedule(lengths=(3,), alphas=(-0.1,))
 
 
-def test_masg_single_stage_is_nag_bitwise():
+def test_masg_single_stage_is_nag_bitwise(quadratic):
     T = 40
-    obj, sched, _ = noisy_setup(T, b=0.8)
+    obj, sched, _ = noisy_setup(quadratic, T, b=0.8)
     x0 = np.array([3.0])
     alpha = 0.7
     stages = StageSchedule(lengths=(T,), alphas=(alpha,))
@@ -163,13 +163,13 @@ def test_masg_single_stage_is_nag_bitwise():
     assert np.array_equal(a.subopt, b.subopt)
 
 
-def test_masg_momentum_tracks_stage_stepsize():
+def test_masg_momentum_tracks_stage_stepsize(quadratic):
     # independent replay: per-iteration (alpha, beta) from the stage plan,
     # momentum restarted (x_prev = x) at each stage's first iteration.  An
     # earlier version carried the momentum across boundaries unchanged; that
     # let a velocity built at the previous, 16x larger stepsize run on under
     # beta close to 1, and the noiseless error then rose with T.
-    obj = QuadraticObjective(np.diag([0.05, 1.0]))
+    obj = quadratic(np.diag([0.05, 1.0]))
     stages = masg_stage_schedule(obj.mu, obj.L, 1.0, 1, 60)
     assert stages.stages >= 3
     hp = HyperParams(alpha=stages.alphas[0], T=60, m=1, stages=stages)
@@ -190,10 +190,10 @@ def test_masg_momentum_tracks_stage_stepsize():
     assert trace.subopt[-1] < 1e-2 * trace.subopt[0]
 
 
-def test_noise_scales_into_update():
+def test_noise_scales_into_update(quadratic):
     # one gd step from the minimum: Var(x_1) = alpha^2 * 2 b^2
     alpha, b = 0.3, 0.7
-    obj = quad1d()
+    obj = quad1d(quadratic)
     sched = NoiseSchedule(b=np.array([b]), eps=np.array([0.0]))
     vals = np.empty(4000)
     for s in range(vals.size):
@@ -208,9 +208,9 @@ def test_noise_scales_into_update():
     assert abs(vals.mean()) < 0.02
 
 
-def test_run_deterministic_and_seed_sensitive():
+def test_run_deterministic_and_seed_sensitive(quadratic):
     T = 20
-    obj, sched, _ = noisy_setup(T)
+    obj, sched, _ = noisy_setup(quadratic, T)
     hp = HyperParams(alpha=0.2, T=T, m=1, beta=0.3)
     a = run("dp-hb", obj, hp, sched, PrivacyAccount(1.0, T, 1, 1), RngStream(21),
             np.array([1.0]), obj.fstar)
@@ -256,17 +256,17 @@ def test_accounting_in_traces():
     assert trace.T == T
 
 
-def test_budget_overrun_rejected():
+def test_budget_overrun_rejected(quadratic):
     T = 5
-    obj, sched, _ = noisy_setup(T)
+    obj, sched, _ = noisy_setup(quadratic, T)
     slim = PrivacyAccount(epsilon_total=0.04, T=T, n=1, m=1)  # needs 0.05
     with pytest.raises(ValueError):
         run("dp-gd", obj, HyperParams(alpha=0.1, T=T, m=1), sched, slim,
             RngStream(0), np.array([0.0]), obj.fstar)
 
 
-def test_run_validation():
-    obj, sched, acct = noisy_setup(3)
+def test_run_validation(quadratic):
+    obj, sched, acct = noisy_setup(quadratic, 3)
     hp = HyperParams(alpha=0.1, T=3, m=1)
     # the smoothed heavy-ball form is a replay in conftest.py, not a method of run()
     for algo in ("dp-unknown", "dp-hb-avg"):
@@ -290,8 +290,8 @@ def test_run_validation():
         HyperParams(alpha=-0.1, T=3, m=1)
 
 
-def test_zero_iterations():
-    obj = quad1d()
+def test_zero_iterations(quadratic):
+    obj = quad1d(quadratic)
     for algo in ("dp-gd", "dp-hb", "dp-nag"):
         trace = run(algo, obj, HyperParams(alpha=0.1, T=0, m=1), no_noise(0),
                     PrivacyAccount(1.0, 1, 1, 1), RngStream(0), np.array([2.0]),
@@ -314,9 +314,9 @@ def test_subsampling_draws_fresh_indices():
     assert np.array_equal(a.subopt, b.subopt)
 
 
-def test_trace_csv_roundtrip(tmp_path):
+def test_trace_csv_roundtrip(tmp_path, quadratic):
     T = 6
-    obj, sched, _ = noisy_setup(T)
+    obj, sched, _ = noisy_setup(quadratic, T)
     trace = run("dp-hb", obj, HyperParams(alpha=0.2, T=T, m=1, beta=0.4), sched,
                 PrivacyAccount(1.0, T, 1, 1), RngStream(1), np.array([1.5]), obj.fstar)
     path = tmp_path / "tr.csv"
@@ -391,8 +391,8 @@ def test_table_csv_bytes_match_csv_writer(tmp_path, kind):
 
 @pytest.mark.parametrize("T", [0, 3])
 @pytest.mark.parametrize("algo, beta", [("dp-gd", 0.0), ("dp-hb", 0.4)])
-def test_meta_beta_is_the_momentum_run_uses(T, algo, beta):
-    obj, sched, acct = noisy_setup(T)
+def test_meta_beta_is_the_momentum_run_uses(T, algo, beta, quadratic):
+    obj, sched, acct = noisy_setup(quadratic, T)
     trace = run(algo, obj, HyperParams(alpha=0.1, T=T, m=1, beta=0.4), sched, acct,
                 RngStream(0), np.array([1.0]), obj.fstar)
     assert trace.meta["beta"] == beta
