@@ -186,10 +186,10 @@ def rescale_for_subsampling(
 ) -> tuple[NoiseSchedule, float]:
     """Multiply all scales by one factor so the audited leak sums to epsilon.
 
-    The composed leak is strictly decreasing in the factor.  m = n inputs
-    that already sum to epsilon are returned unchanged with factor 1.  With
-    m < n, bisection on a bracketed factor runs until the residual is at
-    most _RESCALE_RESIDUAL or no float lies inside the bracket.  Raises
+    The composed leak is strictly decreasing in the factor, for every
+    m <= n.  Bisection on a bracketed factor runs until the residual is at
+    most _RESCALE_RESIDUAL or no float lies inside the bracket; an input
+    already that close to epsilon comes back rescaled by factor 1.  Raises
     RuntimeError if the audit then misses epsilon by more than BUDGET_TOL.
     """
     _check_budget_args(S1, n, epsilon)
@@ -198,13 +198,6 @@ def rescale_for_subsampling(
 
     def leak(factor: float) -> float:
         return float(np.sum(epsilon_of(S1, factor * schedule.b, n, m)))
-
-    if m == n:
-        total = leak(1.0)
-        if abs(total - epsilon) <= BUDGET_TOL:
-            return schedule, 1.0
-        factor = total / epsilon  # leak scales exactly as 1/factor here
-        return _rescaled(schedule, S1, n, m, factor), factor
 
     lo = hi = mid = 1.0
     fm = leak(mid) - epsilon

@@ -60,7 +60,7 @@ bitwise those of the unpruned search, and so is the tie-break among them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -418,7 +418,7 @@ class QuadraticRateReport:
     moduli: np.ndarray  # (k, 2)
     rho: float
     contractive: bool
-    noise_gain: float | None = field(default=None)
+    noise_gain: float | None
 
     def as_dict(self) -> dict:
         return {
@@ -452,16 +452,9 @@ def quadratic_rate(alpha: float, beta: float, eigenvalues) -> QuadraticRateRepor
     mu, L = float(lams[0]), float(lams[-1])
     s = 1.0 + beta - alpha * lams
     disc = s**2 - 4.0 * beta
-    roots = np.empty((len(lams), 2), dtype=complex)
-    moduli = np.empty((len(lams), 2))
-    real = disc >= 0
-    sq = np.sqrt(np.abs(disc))
-    roots[real, 0] = (s[real] + sq[real]) / 2.0
-    roots[real, 1] = (s[real] - sq[real]) / 2.0
-    moduli[real] = np.abs(roots[real])
-    roots[~real, 0] = (s[~real] + 1j * sq[~real]) / 2.0
-    roots[~real, 1] = (s[~real] - 1j * sq[~real]) / 2.0
-    moduli[~real] = np.sqrt(beta)
+    sq = np.sqrt(disc.astype(complex))
+    roots = np.stack([(s + sq) / 2.0, (s - sq) / 2.0], axis=1)
+    moduli = np.where((disc >= 0)[:, None], np.abs(roots), np.sqrt(beta))
     rho = float(moduli.max())
     denom = 2.0 + 2.0 * beta - alpha * lams
     gain = None

@@ -76,8 +76,7 @@ def _add_allocate(sub):
     p.add_argument("--m", type=int, default=None, help="subsample size (default n)")
     p.add_argument("--mu", type=float, default=None)
     p.add_argument("--L", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None, help="stepsize (nag-opt)")
-    p.add_argument("--c", type=float, default=1.0, help="stepsize scale in (0,1]")
+    p.add_argument("--c", type=float, default=1.0, help="stepsize scale in (0,1]: alpha = c / L")
     p.add_argument("--p", type=int, default=1, help="stage doubling exponent")
     p.add_argument("--e0", type=float, default=None,
                    help="initial error guess; enables horizon selection below T")
@@ -89,10 +88,10 @@ def _add_allocate(sub):
 def _cmd_allocate(args):
     m = args.n if args.m is None else args.m
     if args.scheme != "uniform" and (args.mu is None or args.L is None):
-        raise SystemExit("nag-opt and masg-opt need --mu and --L")
+        raise ValueError("nag-opt and masg-opt need --mu and --L")
     T, sched, bound, factor = allocate(args.scheme, args.S1, args.n, m, args.epsilon, args.T,
-                                       mu=args.mu, L=args.L, alpha=args.alpha, c=args.c,
-                                       p=args.p, e0=args.e0, d=args.d)
+                                       mu=args.mu, L=args.L, c=args.c, p=args.p, e0=args.e0,
+                                       d=args.d)
     if bound is not None:
         print(f"selected horizon T={T} (bound {bound:.6g})")
     if factor is not None:
@@ -139,7 +138,7 @@ def _cmd_certify(args):
     if args.out_curve:
         needed = (args.S1, args.epsilon, args.T, args.n, args.m)
         if any(v is None for v in needed):
-            raise SystemExit("--out-curve needs --S1 --epsilon --T --n --m")
+            raise ValueError("--out-curve needs --S1 --epsilon --T --n --m")
         eps0 = per_iteration_epsilon(args.epsilon, args.T, args.n, args.m)
         nb = cert.noise_bound(args.S1, args.m, args.n, eps0, args.d)
         t = np.arange(args.T + 1)
@@ -168,7 +167,7 @@ def _cmd_analyze_quadratic(args):
     print(json.dumps(report.as_dict(), indent=2))
     if args.out:
         if args.sigma2 is None or args.t_max is None:
-            raise SystemExit("--out needs --sigma2 and --t-max")
+            raise ValueError("--out needs --sigma2 and --t-max")
         t = np.arange(args.t_max + 1)
         vals = cert.quadratic_bound(report, args.sigma2, t, args.v0, args.c_mult)
         _write_bound_csv(args.out, t, vals)
@@ -187,7 +186,7 @@ def _cmd_summarize(args):
     paths = sorted(Path(args.traces).glob("*.csv"))
     paths = [p for p in paths if not p.name.startswith("curve_")]
     if not paths:
-        raise SystemExit(f"no trace CSVs under {args.traces}")
+        raise ValueError(f"no trace CSVs under {args.traces}")
     summary = summarize(paths)
     print(comparison_table(summary))
     if args.out:
@@ -204,7 +203,7 @@ def _cmd_summarize(args):
             curves = [
                 (f"{r['algorithm']} T={r['T']}", np.arange(len(r["mean_log10"])),
                  r["mean_log10"])
-                for r in sorted(recs, key=lambda r: (r["algorithm"], r["T"]))
+                for r in recs  # summarize orders records by algorithm, then T
             ]
             out = svg_dir / f"curves_m{m}_c{c}.svg"
             write_line_svg(out, curves, title=f"m={m}, c={c}",
@@ -226,7 +225,10 @@ def main(argv=None) -> int:
     _add_analyze_quadratic(sub)
     _add_summarize(sub)
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # bad input: one line and exit status 2, as argparse's own
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -162,11 +162,11 @@ def reference_optimum(obj):
 # In harness, not budget_allocator, because perfbench times these calls by patching
 # this module's names; it moves unchanged once perfbench wraps budget_allocator.
 def allocate(scheme: str, S1: float, n: int, m: int, epsilon: float, T: int, *,
-             mu=None, L=None, alpha=None, c: float = 1.0, p: int = 1, e0=None, d: int = 1):
+             mu=None, L=None, c: float = 1.0, p: int = 1, e0=None, d: int = 1):
     """(T, schedule, bound, factor) for one budget: the one allocation path.
 
     "uniform" splits epsilon evenly over T steps.  "nag-opt" (stepsize
-    alpha, default c / L) and "masg-opt" (stages from c and p) split it
+    c / L) and "masg-opt" (stages from c and p) split it
     unevenly, after re-selecting the horizon (at most T) that minimizes the
     optimized bound when e0 is given (else bound is None); with m < n the
     schedule is rescaled so the audited leak still sums to epsilon (else
@@ -175,8 +175,7 @@ def allocate(scheme: str, S1: float, n: int, m: int, epsilon: float, T: int, *,
     if scheme == "uniform":
         return T, uniform_scale(S1, epsilon, T, n, m), None, None
     if scheme == "nag-opt":
-        alpha = c / L if alpha is None else alpha
-        builder = lambda Tp: nag_coefficients(mu, L, alpha, Tp)
+        builder = lambda Tp: nag_coefficients(mu, L, c / L, Tp)
     elif scheme == "masg-opt":
         builder = lambda Tp: masg_coefficients_for(mu, L, c, p, Tp)
     else:

@@ -102,15 +102,13 @@ class Dataset:
                    x_true=None if x_true is None else np.array(x_true, dtype=float))
 
 
-def generate_synthetic(
-    d: int, n: int, u_max: float, seed: int, x_true: np.ndarray | None = None
-) -> Dataset:
+def generate_synthetic(d: int, n: int, u_max: float, seed: int) -> Dataset:
     """Synthetic logistic data with per-row L1 norms in [u_max/2, u_max].
 
     Rows start as uniform(-1, 1) entries and are rescaled so that row i has
     L1 norm u_max * beta_i with beta_i uniform on (0.5, 1).  Labels are
-    drawn from the logistic model at x_true (random sign vector when not
-    supplied).  Fully determined by (d, n, u_max, seed, x_true).
+    drawn from the logistic model at a random sign vector x_true, which the
+    Dataset records.  Fully determined by (d, n, u_max, seed).
     """
     if d < 1 or n < 1:
         raise ValueError(f"need d >= 1 and n >= 1, got d={d}, n={n}")
@@ -119,12 +117,7 @@ def generate_synthetic(
     stream = RngStream(seed)
     raw = stream.uniform(-1.0, 1.0, (n, d))
     beta = stream.uniform(0.5, 1.0, n)
-    if x_true is None:
-        x_true = np.where(stream.random(d) < 0.5, -1.0, 1.0)
-    else:
-        x_true = np.asarray(x_true, dtype=float)
-        if x_true.shape != (d,):
-            raise ValueError("x_true must have shape (d,)")
+    x_true = np.where(stream.random(d) < 0.5, -1.0, 1.0)
     norms = np.abs(raw).sum(axis=1)
     if np.any(norms == 0):
         raise RuntimeError("degenerate all-zero covariate row")
@@ -149,7 +142,6 @@ class LogisticObjective:
     def __init__(self, dataset: Dataset, lam: float):
         if not 0 < lam < np.inf:
             raise ValueError(f"ridge weight must be finite and positive, got {lam}")
-        self.dataset = dataset
         self.U = dataset.U
         self.z = dataset.z
         self.lam = float(lam)
@@ -157,21 +149,11 @@ class LogisticObjective:
         self.d = dataset.d
         self.u_max = float(dataset.u_max)
         self.mu = 2.0 * self.lam
-        self._L = None
+        # Deliberately the plain spectral bound, not the tighter quarter-scaled
+        # logistic Hessian bound: stepsize rules elsewhere assume it.
+        M = self.U.T @ self.U / self.n + 2.0 * self.lam * np.eye(self.d)
+        self.L = float(np.linalg.eigvalsh(M)[-1])
         self._neg_z = -self.z
-
-    @property
-    def L(self) -> float:
-        """Top eigenvalue of (1/n) U^T U + 2*lam*I by np.linalg.eigvalsh, cached.
-
-        Deliberately the plain spectral bound, not the tighter quarter-scaled
-        logistic Hessian bound: stepsize rules elsewhere assume it.  It
-        upper-bounds the true smoothness.
-        """
-        if self._L is None:
-            M = self.U.T @ self.U / self.n + 2.0 * self.lam * np.eye(self.d)
-            self._L = float(np.linalg.eigvalsh(M)[-1])
-        return self._L
 
     def value(self, x: np.ndarray) -> float:
         return float(self.values(np.asarray(x, dtype=float)[None])[0])

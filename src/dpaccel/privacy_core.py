@@ -103,20 +103,10 @@ def laplace_sample(rng: RngStream, b: float, d: int) -> np.ndarray:
         raise ValueError(f"Laplace scale must be positive and finite, got {b}")
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    # -b * sign(u) * log1p(-2|u|) with u = U - 1/2, in place on the draw;
-    # negating, the sign factor and the factor 2 are exact, so the bits are
-    # those of the out-of-place formula.
-    u = rng.random(int(d))
-    u -= 0.5
+    u = rng.random(int(d)) - 0.5
     # u = -0.5 would hit log(0); remap that single lattice point.
     u[u == -0.5] = 0.0
-    out = np.sign(u)
-    out *= -b
-    np.abs(u, out=u)
-    u *= -2.0
-    np.log1p(u, out=u)
-    out *= u
-    return out
+    return -b * np.sign(u) * np.log1p(-2.0 * np.abs(u))
 
 
 def epsilon_of(S: float, b: float, n: int, m: int) -> float:
@@ -187,9 +177,9 @@ class NoiseSchedule:
         if self.b.ndim != 1 or self.b.shape != self.eps.shape:
             raise ValueError("b and eps must be 1-d arrays of equal length")
         # b == 0 means "no noise this iteration"; the runner skips sampling.
-        if len(self.b) and (np.any(self.b < 0) or not np.all(np.isfinite(self.b))):
+        if np.any(self.b < 0) or not np.all(np.isfinite(self.b)):
             raise ValueError("scales must be finite and >= 0")
-        if len(self.eps) and (np.any(self.eps < 0) or not np.all(np.isfinite(self.eps))):
+        if np.any(self.eps < 0) or not np.all(np.isfinite(self.eps)):
             raise ValueError("leaks must be finite and >= 0")
 
     def __len__(self) -> int:

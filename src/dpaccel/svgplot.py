@@ -14,17 +14,16 @@ _WIDTH, _HEIGHT = 640, 420
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 28, 40
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> np.ndarray:
-    if not np.isfinite(lo) or not np.isfinite(hi) or hi <= lo:
-        return np.array([lo])
-    raw = (hi - lo) / n
+def _ticks(lo: float, hi: float) -> np.ndarray:
+    """About five round-numbered ticks over a finite range with hi > lo."""
+    raw = (hi - lo) / 5
     mag = 10.0 ** np.floor(np.log10(raw))
     step = min((s for s in (1, 2, 5, 10) if s * mag >= raw), default=10) * mag
     first = np.ceil(lo / step) * step
     return np.arange(first, hi + 0.5 * step, step)
 
 
-def write_line_svg(path, curves, title: str = "", xlabel: str = "", ylabel: str = "") -> None:
+def write_line_svg(path, curves, title: str, xlabel: str, ylabel: str) -> None:
     """curves: iterable of (label, xs, ys); non-finite points are dropped."""
     cleaned = []
     for label, xs, ys in curves:
@@ -60,12 +59,9 @@ def write_line_svg(path, curves, title: str = "", xlabel: str = "", ylabel: str 
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{inner_w}" height="{inner_h}" '
         'fill="none" stroke="#333"/>',
+        f'<text x="{_WIDTH / 2:.1f}" y="18" text-anchor="middle" '
+        f'font-size="13">{_esc(title)}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{_WIDTH / 2:.1f}" y="18" text-anchor="middle" '
-            f'font-size="13">{_esc(title)}</text>'
-        )
     for x in _ticks(x_lo, x_hi):
         parts.append(
             f'<line x1="{px(x):.1f}" y1="{_MARGIN_T + inner_h}" x2="{px(x):.1f}" '
@@ -80,16 +76,12 @@ def write_line_svg(path, curves, title: str = "", xlabel: str = "", ylabel: str 
             f'<text x="{_MARGIN_L - 7}" y="{py(y) + 3.5:.1f}" '
             f'text-anchor="end">{y:g}</text>'
         )
-    if xlabel:
-        parts.append(
-            f'<text x="{_MARGIN_L + inner_w / 2:.1f}" y="{_HEIGHT - 8}" '
-            f'text-anchor="middle">{_esc(xlabel)}</text>'
-        )
-    if ylabel:
-        parts.append(
-            f'<text x="14" y="{_MARGIN_T + inner_h / 2:.1f}" text-anchor="middle" '
-            f'transform="rotate(-90 14 {_MARGIN_T + inner_h / 2:.1f})">{_esc(ylabel)}</text>'
-        )
+    parts += [
+        f'<text x="{_MARGIN_L + inner_w / 2:.1f}" y="{_HEIGHT - 8}" '
+        f'text-anchor="middle">{_esc(xlabel)}</text>',
+        f'<text x="14" y="{_MARGIN_T + inner_h / 2:.1f}" text-anchor="middle" '
+        f'transform="rotate(-90 14 {_MARGIN_T + inner_h / 2:.1f})">{_esc(ylabel)}</text>',
+    ]
     for i, (label, xs, ys) in enumerate(cleaned):
         color = _COLORS[i % len(_COLORS)]
         pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))

@@ -351,15 +351,6 @@ def test_rescale_noop_without_subsampling():
     assert np.array_equal(out.b, sched.b)
 
 
-def test_rescale_full_data_mismatch_is_analytic():
-    # m = n leak is proportional to 1/factor, so one division fixes it
-    co = nag_coefficients(0.1, 1.0, 1.0, 5)
-    sched = optimal_schedule(co, 2.0, 100, 0.7)
-    out, factor = rescale_for_subsampling(sched, 2.0, 100, 100, 0.35)
-    assert factor == pytest.approx(2.0, rel=1e-12)
-    assert np.sum(epsilon_of(2.0, out.b, 100, 100)) == pytest.approx(0.35, abs=1e-9)
-
-
 def test_rescale_subsampled_audit():
     rng = np.random.default_rng(3)
     for _ in range(20):
@@ -384,14 +375,20 @@ def test_rescale_subsampled_audit():
     st.integers(2, 10**5),
     st.floats(0.0, 1.0),
     st.floats(0.1, 3.0),
+    st.sampled_from([1.0, 0.5, 2.0]),
 )
-@example(a=[1.0, 2.0], S1=2.0, n=1000, m_frac=0.0, eps=0.5)  # m = 1
-@example(a=[1.0, 2.0], S1=2.0, n=1000, m_frac=1.0, eps=0.5)  # m = n
-def test_rescaled_audit_equals_budget(a, S1, n, m_frac, eps):
+@example(a=[1.0, 2.0], S1=2.0, n=1000, m_frac=0.0, eps=0.5, built_for=1.0)  # m = 1
+@example(a=[1.0, 2.0], S1=2.0, n=1000, m_frac=1.0, eps=0.5, built_for=1.0)  # m = n
+# m = n, schedule built for twice the budget: the factor is 2 up to the residual
+@example(a=[1.0, 2.0], S1=2.0, n=100, m_frac=1.0, eps=0.35, built_for=2.0)
+def test_rescaled_audit_equals_budget(a, S1, n, m_frac, eps, built_for):
+    # the schedule is built for built_for * eps and rescaled to eps
     m = 1 + int(m_frac * (n - 1))
-    sched = optimal_schedule(BoundCoefficients(a0=0.0, a=np.array(a)), S1, n, eps)
+    sched = optimal_schedule(BoundCoefficients(a0=0.0, a=np.array(a)), S1, n, built_for * eps)
     out, factor = rescale_for_subsampling(sched, S1, n, m, eps)
     assert abs(float(np.sum(epsilon_of(S1, out.b, n, m))) - eps) <= BUDGET_TOL
+    if m == n:  # the leak is proportional to 1 / factor
+        assert factor == pytest.approx(built_for, rel=1e-9)
     # one common factor scales every entry
     assert np.array_equal(out.b, factor * sched.b)
 

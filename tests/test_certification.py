@@ -567,6 +567,39 @@ def test_quadratic_rate_vieta_and_complex_moduli():
     np.testing.assert_allclose(prod, 0.5, rtol=1e-12)
 
 
+def _hand_split_roots(alpha, beta, lams):
+    """quadratic_rate's roots and moduli by the explicit real/complex split."""
+    s = 1.0 + beta - alpha * lams
+    disc = s**2 - 4.0 * beta
+    roots = np.empty((len(lams), 2), dtype=complex)
+    moduli = np.empty((len(lams), 2))
+    real = disc >= 0
+    sq = np.sqrt(np.abs(disc))
+    roots[real, 0] = (s[real] + sq[real]) / 2.0
+    roots[real, 1] = (s[real] - sq[real]) / 2.0
+    moduli[real] = np.abs(roots[real])
+    roots[~real, 0] = (s[~real] + 1j * sq[~real]) / 2.0
+    roots[~real, 1] = (s[~real] - 1j * sq[~real]) / 2.0
+    moduli[~real] = np.sqrt(beta)
+    return roots, moduli
+
+
+@given(
+    st.floats(1e-3, 4.0),
+    st.floats(0.0, 0.999),
+    st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=20),
+)
+@example(1.0, 0.0, [1.0])  # disc = 0 at s = 0
+@example(0.25, 0.25, [1.0, 0.5])  # disc = 0 at s = 1, then a real pair
+@example(1.0, 0.9, [1.0, 0.05])  # complex pair, then a real pair
+@example(3.0, 0.5, [1.0, 0.1])  # negative real roots
+def test_quadratic_rate_equals_hand_split(alpha, beta, eigs):
+    rep = quadratic_rate(alpha, beta, eigs)
+    roots, moduli = _hand_split_roots(alpha, beta, rep.eigenvalues)
+    assert rep.roots.tobytes() == roots.tobytes()  # every bit, signed zeros included
+    assert rep.moduli.tobytes() == moduli.tobytes()
+
+
 def test_quadratic_rate_validation():
     with pytest.raises(ValueError):
         quadratic_rate(0.0, 0.0, [1.0])

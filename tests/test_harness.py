@@ -547,32 +547,45 @@ def test_write_line_svg(tmp_path):
 
 def test_write_line_svg_rejects_empty(tmp_path):
     with pytest.raises(ValueError):
-        write_line_svg(tmp_path / "x.svg", [])
+        write_line_svg(tmp_path / "x.svg", [], "t", "x", "y")
     with pytest.raises(ValueError):
-        write_line_svg(tmp_path / "x.svg", [("a", [0, 1], [np.nan, np.nan])])
+        write_line_svg(tmp_path / "x.svg", [("a", [0, 1], [np.nan, np.nan])], "t", "x", "y")
 
 
 # ---------------------------------------------------------------------------
 # CLI
 
 
-def test_cli_gen_data(tmp_path):
+def _assert_refused(capsys, argv, message):
+    """main refuses argv as argparse does: status 2 and one error line."""
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and message in errors[0]
+
+
+def test_cli_gen_data(tmp_path, capsys):
     out = tmp_path / "data.csv"
     rc = main(["gen-data", "--out", str(out), "--d", "3", "--n", "50", "--seed", "1"])
     assert rc == 0
     data = Dataset.from_csv(out)
     assert data.U.shape == (50, 3)
+    _assert_refused(capsys, ["gen-data", "--out", str(out), "--u-max", "nan"],
+                    "u_max must be finite and positive, got nan")
 
 
-def test_cli_allocate_uniform(tmp_path):
+def test_cli_allocate_uniform(tmp_path, capsys):
     out = tmp_path / "sched.csv"
-    rc = main(["allocate", "--scheme", "uniform", "--S1", "4.0", "--epsilon", "1.0",
-               "--T", "10", "--n", "1000", "--m", "100", "--out", str(out)])
-    assert rc == 0
+    argv = ["allocate", "--scheme", "uniform", "--S1", "4.0", "--T", "10", "--n", "1000",
+            "--m", "100", "--out", str(out)]
+    assert main(argv + ["--epsilon", "1.0"]) == 0
     sched = NoiseSchedule.from_csv(out)
     assert len(sched.b) == 10
     leak = float(np.sum(epsilon_of(4.0, sched.b, 1000, 100)))
     assert leak == pytest.approx(1.0, abs=1e-9)
+    _assert_refused(capsys, argv + ["--epsilon", "-1"], "got -1.0")
 
 
 def test_cli_allocate_nag_opt_selects_horizon(tmp_path):
@@ -607,17 +620,17 @@ def test_cli_allocate_masg_opt_subsampled(tmp_path, capsys):
 
 
 def test_cli_allocate_nag_opt_uses_alpha(tmp_path):
-    # --alpha sets nag-opt's stepsize; without it the stepsize is c / L
+    # nag-opt's stepsize is c / L
     out = tmp_path / "sched.csv"
     rc = main(["allocate", "--scheme", "nag-opt", "--S1", "4.0", "--epsilon", "1.0",
-               "--T", "40", "--n", "1000", "--mu", "0.1", "--L", "1.0", "--alpha", "0.3",
+               "--T", "40", "--n", "1000", "--mu", "0.1", "--L", "1.0", "--c", "0.3",
                "--out", str(out)])
     assert rc == 0
     got = NoiseSchedule.from_csv(out).b
     want = ba.optimal_schedule(ba.nag_coefficients(0.1, 1.0, 0.3, 40), 4.0, 1000, 1.0).b
-    at_c_over_L = ba.optimal_schedule(ba.nag_coefficients(0.1, 1.0, 1.0, 40), 4.0, 1000, 1.0).b
+    at_c_1 = ba.optimal_schedule(ba.nag_coefficients(0.1, 1.0, 1.0, 40), 4.0, 1000, 1.0).b
     assert got.tobytes() == want.tobytes()
-    assert not np.allclose(got, at_c_over_L)
+    assert not np.allclose(got, at_c_1)
 
 
 @pytest.mark.parametrize("scheme", ["nag-opt", "masg-opt"])
@@ -631,12 +644,13 @@ def test_cli_allocate_without_e0_keeps_T(tmp_path, capsys, scheme):
 
 
 @pytest.mark.parametrize("missing", ["--mu", "--L"])
-def test_cli_allocate_opt_needs_mu_and_L(tmp_path, missing):
+def test_cli_allocate_opt_needs_mu_and_L(tmp_path, capsys, missing):
     args = {"--mu": "0.1", "--L": "1.0"}
     del args[missing]
-    with pytest.raises(SystemExit, match="nag-opt and masg-opt need --mu and --L"):
-        main(["allocate", "--scheme", "nag-opt", "--S1", "4.0", "--epsilon", "1.0", "--T", "10",
-              "--n", "1000", *itertools.chain(*args.items()), "--out", str(tmp_path / "s.csv")])
+    _assert_refused(capsys, ["allocate", "--scheme", "nag-opt", "--S1", "4.0", "--epsilon", "1.0",
+                             "--T", "10", "--n", "1000", *itertools.chain(*args.items()),
+                             "--out", str(tmp_path / "s.csv")],
+                    "nag-opt and masg-opt need --mu and --L")
 
 
 def test_import_loads_no_scipy():
@@ -722,15 +736,14 @@ def test_cli_run_and_summarize(tmp_path):
         ET.parse(p)
 
 
-def test_cli_run_workers_sets_the_config(tmp_path):
+def test_cli_run_workers_sets_the_config(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     tiny_config(algorithms=("dp-gd",), m_values=(40,), T_values=(5,)).to_json(cfg_path)
     args = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
     assert main(args + ["--workers", "2"]) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["config"]["workers"] == 2
-    with pytest.raises(ValueError, match="workers"):
-        main(args + ["--workers", "0"])
+    _assert_refused(capsys, args + ["--workers", "0"], "workers")
 
 
 def test_cli_run_seed_base_sets_the_config(tmp_path):
@@ -765,6 +778,6 @@ def test_cli_summarize_trace_outside_grid(tmp_path, capsys):
     assert f"m={obj.n}, c=-" in text and "None" not in text
 
 
-def test_cli_summarize_empty_dir_exits(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["summarize", "--traces", str(tmp_path)])
+def test_cli_summarize_empty_dir_exits(tmp_path, capsys):
+    _assert_refused(capsys, ["summarize", "--traces", str(tmp_path)],
+                    f"no trace CSVs under {tmp_path}")

@@ -36,13 +36,11 @@ def test_synthetic_deterministic():
 
 
 def test_synthetic_labels_follow_model():
-    # with a strong signal, labels should mostly agree with sign(U @ x_true)
-    x_true = np.full(6, 3.0)
-    data = generate_synthetic(6, 2000, 12.0, 1, x_true=x_true)
-    agree = np.mean(data.z == np.sign(data.U @ x_true))
-    assert agree > 0.8
-    with pytest.raises(ValueError):
-        generate_synthetic(6, 10, 1.0, 0, x_true=np.ones(5))
+    # with a strong signal (large u_max), labels should mostly agree with
+    # sign(U @ x_true) at the drawn x_true
+    data = generate_synthetic(6, 2000, 36.0, 1)
+    agree = np.mean(data.z == np.sign(data.U @ data.x_true))
+    assert agree > 0.9
 
 
 def test_synthetic_labels_pinned():
@@ -257,13 +255,14 @@ def test_logistic_sensitivity_bound_holds():
 
 
 def test_logistic_smoothness_constant():
-    obj = small_logistic(seed=5)
+    data = generate_synthetic(5, 60, 4.0, 5)
+    obj = LogisticObjective(data, lam=0.05)
     M = obj.U.T @ obj.U / obj.n + 2 * obj.lam * np.eye(obj.d)
     assert obj.L == pytest.approx(np.linalg.eigvalsh(M)[-1], rel=1e-6)
     assert obj.mu == 2 * obj.lam
     for lam in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError):
-            LogisticObjective(obj.dataset, lam=lam)
+            LogisticObjective(data, lam=lam)
 
 
 def test_quadratic_basics(quadratic):
