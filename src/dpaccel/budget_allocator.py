@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .optimizers import StageSchedule, masg_stage_schedule
+from .optimizers import masg_stage_schedule
 from .privacy_core import BUDGET_TOL, NoiseSchedule, epsilon_of
 
 # Relative slack when checking alpha <= 1/L, so that alpha = c/L with c = 1
@@ -90,8 +90,9 @@ def nag_coefficients(mu: float, L: float, alpha: float, T: int) -> BoundCoeffici
     return BoundCoefficients(a0=q**T, a=a, factors=((T, float(q), k),))
 
 
-def masg_coefficients(stages: StageSchedule, mu: float, L: float) -> BoundCoefficients:
-    """Error-bound weights for the staged run.
+def masg_coefficients(stages: tuple, mu: float, L: float) -> BoundCoefficients:
+    """Error-bound weights for the staged run; stages holds HyperParams'
+    (length, alpha, beta) triples, of which the weights use length and alpha.
 
     Iteration t in stage s_t contributes
     a_t = 2^(s_T - s_t) * prod_{i=t+1..T} (1 - sqrt(mu * alpha_i)) * alpha_(s_t) * (1 + alpha_(s_t) * L),
@@ -104,11 +105,11 @@ def masg_coefficients(stages: StageSchedule, mu: float, L: float) -> BoundCoeffi
     the restart the inherited velocity enters that value and the weights no
     longer bound the staged run.
     """
-    for alpha in stages.alphas:
+    lengths, alphas, _ = zip(*stages)
+    for alpha in alphas:
         _check_mu_L_alpha(mu, L, alpha)
-    lengths = stages.lengths
-    alphas = np.array(stages.alphas)
-    s_T = stages.stages
+    alphas = np.array(alphas)
+    s_T = len(stages)
     # Per-stage factors, repeated over each stage's iterations.  Products
     # are taken in the order of the per-iteration formula above, so every
     # weight is the same float whichever way it is built.

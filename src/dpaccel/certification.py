@@ -98,8 +98,8 @@ def noise_bound(S1: float, m: int, n: int, epsilon0: float, d: int):
     Combines the subsampling spread (S1^2/4 * (1/m) * (n-m)/(n-1), zero when
     m = n) with the Laplace term 2*d*S1^2 / (m*epsilon0)^2.
     """
-    if S1 <= 0 or epsilon0 <= 0 or d < 1:
-        raise ValueError("need S1 > 0, epsilon0 > 0, d >= 1")
+    if not 0 < S1 < np.inf or not 0 < epsilon0 < np.inf or d < 1:
+        raise ValueError("need finite S1 > 0 and epsilon0 > 0, and d >= 1")
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     b = S1 / (m * epsilon0)
@@ -392,8 +392,8 @@ def eval_shb_bound(
         raise ValueError("bound evaluation needs a certificate with c > 0")
     if not 0 < cert.rho < 1:
         raise ValueError(f"bound evaluation needs rho in (0, 1), got {cert.rho}")
-    if psi0 < 0 or noise_level < 0:
-        raise ValueError("psi0 and the noise level must be >= 0")
+    if not 0 <= psi0 < np.inf or not 0 <= noise_level < np.inf:
+        raise ValueError("psi0 and the noise level must be finite and >= 0")
     t = np.asarray(t, dtype=float)
     r2t = cert.rho ** (2.0 * t)
     noise = (1.0 - r2t) / (1.0 - cert.rho**2) * (L * d * alpha**2 / 2.0)
@@ -442,13 +442,13 @@ def quadratic_rate(alpha: float, beta: float, eigenvalues) -> QuadraticRateRepor
     rho is the largest root modulus across the spectrum.  Complex pairs have
     modulus exactly sqrt(beta) (their product is beta).
     """
-    if alpha <= 0:
-        raise ValueError(f"stepsize must be positive, got {alpha}")
+    if not 0 < alpha < np.inf:
+        raise ValueError(f"stepsize must be finite and positive, got {alpha}")
     if not 0 <= beta < 1:
         raise ValueError(f"momentum must lie in [0, 1), got {beta}")
     lams = np.sort(np.asarray(eigenvalues, dtype=float).ravel())
-    if len(lams) == 0 or np.any(lams <= 0):
-        raise ValueError("eigenvalues must be positive")
+    if len(lams) == 0 or not np.all((0 < lams) & (lams < np.inf)):
+        raise ValueError("eigenvalues must be finite and positive")
     mu, L = float(lams[0]), float(lams[-1])
     s = 1.0 + beta - alpha * lams
     disc = s**2 - 4.0 * beta
@@ -488,8 +488,8 @@ def quadratic_bound(
         raise ValueError(f"no contraction: rho = {report.rho} >= 1")
     if report.noise_gain is None:
         raise ValueError("noise floor undefined: some 2 + 2*beta - alpha*lam <= 0")
-    if sigma2 < 0 or v0_norm < 0:
-        raise ValueError("sigma2 and v0_norm must be >= 0")
+    if not 0 <= sigma2 < np.inf or not 0 <= v0_norm < np.inf:
+        raise ValueError("sigma2 and v0_norm must be finite and >= 0")
     t = np.asarray(t, dtype=float)
     V = v0_norm + sigma2 * report.alpha**2 / (1.0 - report.rho**2)
     out = V * (c_mult * t) ** 2 * report.rho ** (2.0 * t) + report.L * (

@@ -227,7 +227,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # bad input: one line and exit status 2, as argparse's own
+    except (ValueError, OSError) as exc:  # bad input or path: one line, status 2, as argparse
         parser.error(str(exc))
 
 

@@ -8,6 +8,7 @@ summary aggregates per-cell curves and final errors.
 
 from __future__ import annotations
 
+import numbers
 import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -46,13 +47,16 @@ _REFERENCE_GRAD_TOL = 1e-12
 _REFERENCE_MAX_ITER = 100_000
 
 _INT_FIELDS = ("d", "n", "data_seed", "replicates", "seed_base", "masg_p", "workers")
+_REAL_FIELDS = ("u_max", "lam", "epsilon", "e0_guess")
 
 
-def _as_int(name: str, value) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+def _number(name: str, value, integer: bool):
+    """value, unless it is a bool or not a real number; with integer set it
+    must be integral and comes back as a Python int, so JSON writes it as one."""
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    return operator.index(value) if integer else value
 
 
 @dataclass
@@ -76,11 +80,14 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        # an integer field keeps what operator.index accepts, as a Python int
-        for name in _INT_FIELDS:
-            setattr(self, name, _as_int(name, getattr(self, name)))
-        self.m_values = tuple(_as_int("m_values", m) for m in self.m_values)
-        self.T_values = tuple(_as_int("T_values", T) for T in self.T_values)
+        for name in _INT_FIELDS + _REAL_FIELDS:
+            setattr(self, name, _number(name, getattr(self, name), name in _INT_FIELDS))
+        for name in ("algorithms", "m_values", "T_values", "c_values"):
+            values = getattr(self, name)
+            if not isinstance(values, (tuple, list)):
+                raise ValueError(f"{name} must be a list, got {values!r}")
+            if name != "algorithms":
+                setattr(self, name, tuple(_number(name, v, name != "c_values") for v in values))
         if self.d < 1 or self.n < 2:
             raise ValueError("need d >= 1 and n >= 2")
         for name in ("u_max", "lam", "epsilon"):
@@ -115,9 +122,6 @@ class ExperimentConfig:
             f"logistic(d={self.d},n={self.n},u_max={self.u_max},"
             f"seed={self.data_seed},lam={self.lam})"
         )
-
-    def to_json(self, path) -> None:
-        write_json(path, asdict(self))
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -205,14 +209,15 @@ def plan_cell(algo: str, obj, m: int, T: int, c: float, epsilon: float,
     T, sched, _, _ = allocate(scheme, obj.sensitivity_bound(), obj.n, m, epsilon, T,
                               mu=mu, L=L, c=c, p=masg_p, e0=e0_guess, d=obj.d)
     alpha = c / L
-    beta, stages = 0.0, None
-    if run_algo == "dp-hb":
-        beta = polyak_momentum(mu, L)
-    elif run_algo == "dp-nag":
-        beta = nesterov_momentum(alpha, mu)
-    elif run_algo == "dp-masg":
+    if run_algo == "dp-masg":
         stages = masg_stage_schedule(mu, L, c, masg_p, T)
-    return run_algo, HyperParams(alpha=alpha, T=T, m=m, beta=beta, stages=stages), sched
+    elif run_algo == "dp-gd":
+        stages = ((T, alpha, 0.0),)
+    elif run_algo == "dp-hb":
+        stages = ((T, alpha, polyak_momentum(mu, L)),)
+    else:
+        stages = ((T, alpha, nesterov_momentum(alpha, mu)),)
+    return run_algo, HyperParams(m=m, stages=stages), sched
 
 
 def _cell_name(algo: str, m: int, T: int, c: float, seed: int | None = None) -> str:

@@ -47,53 +47,22 @@ def polyak_momentum(mu: float, L: float) -> float:
     return ((np.sqrt(kappa) - 1) / (np.sqrt(kappa) + 1)) ** 2
 
 
-def nesterov_momentum(alpha, mu: float):
+def nesterov_momentum(alpha: float, mu: float) -> float:
     """Momentum (1 - sqrt(alpha*mu)) / (1 + sqrt(alpha*mu)); needs alpha*mu in (0, 1)."""
-    alpha = np.asarray(alpha, dtype=float)
     s = alpha * mu
-    if np.any(s <= 0) or np.any(s >= 1):
+    if not 0 < s < 1:
         raise ValueError(f"alpha*mu must lie in (0, 1), got {s}")
     r = np.sqrt(s)
-    out = (1.0 - r) / (1.0 + r)
-    return float(out) if out.ndim == 0 else out
+    return float((1.0 - r) / (1.0 + r))
 
 
-@dataclass
-class StageSchedule:
-    """Iteration counts and stepsizes for a staged run.
-
-    Iterations are 1-based: with lengths (3, 5), iterations 1..3 are stage 1
-    and 4..8 are stage 2.
-    """
-
-    lengths: tuple
-    alphas: tuple
-
-    def __post_init__(self):
-        self.lengths = tuple(int(v) for v in self.lengths)
-        self.alphas = tuple(float(v) for v in self.alphas)
-        if len(self.lengths) != len(self.alphas):
-            raise ValueError("one stepsize per stage required")
-        if any(v < 1 for v in self.lengths):
-            raise ValueError(f"stage lengths must be >= 1, got {self.lengths}")
-        if any(a <= 0 for a in self.alphas):
-            raise ValueError(f"stage stepsizes must be > 0, got {self.alphas}")
-
-    @property
-    def stages(self) -> int:
-        return len(self.lengths)
-
-    @property
-    def total(self) -> int:
-        return sum(self.lengths)
-
-
-def masg_stage_schedule(mu: float, L: float, c: float, p: int, T: int) -> StageSchedule:
+def masg_stage_schedule(mu: float, L: float, c: float, p: int, T: int) -> tuple:
     """Stage plan: a unit-length warm stage at c/L, then geometrically longer
-    stages at stepsize c / (4^k L).
+    stages at stepsize c / (4^k L), each with its stepsize's Nesterov momentum.
 
     The unit is ceil(sqrt(kappa) * log(2^(p+2))); stage k >= 2 has length
     2^k * unit.  The last stage is truncated so the total is exactly T.
+    Returns HyperParams stages: one (length, alpha, beta) triple per stage.
     """
     if not 0 < mu <= L:
         raise ValueError(f"need 0 < mu <= L, got mu={mu}, L={L}")
@@ -104,38 +73,45 @@ def masg_stage_schedule(mu: float, L: float, c: float, p: int, T: int) -> StageS
     kappa = L / mu
     unit = int(np.ceil(np.sqrt(kappa) * np.log(2.0 ** (p + 2))))
     unit = max(unit, 1)
-    lengths = [min(unit, T)]
-    alphas = [c / L]
-    total = lengths[0]
+    stages = [(min(unit, T), c / L)]
+    total = stages[0][0]
     k = 2
     while total < T:
-        length = min(2**k * unit, T - total)
-        lengths.append(length)
-        alphas.append(c / (2 ** (2 * k) * L))
-        total += length
+        stages.append((min(2**k * unit, T - total), c / (2 ** (2 * k) * L)))
+        total += stages[-1][0]
         k += 1
-    return StageSchedule(lengths=tuple(lengths), alphas=tuple(alphas))
+    return tuple((length, alpha, nesterov_momentum(alpha, mu)) for length, alpha in stages)
 
 
 @dataclass
 class HyperParams:
-    """Per-run knobs; stages is only consulted by dp-masg."""
+    """One run's plan: subsample size m and stages, a tuple of
+    (length, alpha, beta) triples.
 
-    alpha: float
-    T: int
+    Each stage runs length iterations at stepsize alpha and momentum beta,
+    starting at rest.  dp-gd, dp-hb and dp-nag run one stage (dp-gd with
+    beta = 0); dp-masg runs masg_stage_schedule's.  A zero-step plan has
+    no stages.
+    """
+
     m: int
-    beta: float = 0.0
-    stages: StageSchedule | None = None
+    stages: tuple
 
     def __post_init__(self):
-        if self.stages is None and self.alpha <= 0:
-            raise ValueError(f"stepsize must be positive, got {self.alpha}")
-        if not 0 <= self.beta < 1:
-            raise ValueError(f"momentum must lie in [0, 1), got {self.beta}")
-        if self.T < 0:
-            raise ValueError(f"need T >= 0, got {self.T}")
         if self.m < 1:
             raise ValueError(f"need m >= 1, got {self.m}")
+        self.stages = tuple((int(k), float(a), float(b)) for k, a, b in self.stages)
+        for length, alpha, beta in self.stages:
+            if length < 1:
+                raise ValueError(f"stage lengths must be >= 1, got {length}")
+            if not 0 < alpha < np.inf:
+                raise ValueError(f"stepsize must be finite and positive, got {alpha}")
+            if not 0 <= beta < 1:
+                raise ValueError(f"momentum must lie in [0, 1), got {beta}")
+
+    @property
+    def T(self) -> int:
+        return sum(length for length, _, _ in self.stages)
 
 
 @dataclass
@@ -147,10 +123,6 @@ class Trace:
     eps_cum: np.ndarray
     meta: dict = field(default_factory=dict)
     iterates: np.ndarray | None = None
-
-    @property
-    def T(self) -> int:
-        return len(self.t) - 1
 
     def to_csv(self, path) -> None:
         """Write `t,subopt,eps_cum` rows plus a JSON sidecar with the metadata."""
@@ -184,23 +156,30 @@ def run(
     T+1 rows; row 0 is the initial point with zero leak.  With
     record_iterates the trace keeps that (T+1, d) array.
 
-    From obj, run reads n, d and mu (for dp-masg's momentum), calls
-    minibatch_gradient(x, idx) once per iteration (idx=None when m = n),
-    and calls values(X) once on the (T+1, d) iterates.
+    From obj, run reads n and d, calls minibatch_gradient(x, idx) once per
+    iteration (idx=None when m = n), and calls values(X) once on the
+    (T+1, d) iterates.
 
-    dp-masg takes (alpha, beta) from its stage plan: stepsize c/L in stage 1,
-    c/16L in stage 2 and 4x smaller in each stage after that, with beta the
-    Nesterov momentum of the stage's stepsize.  At the first iteration of
-    every stage the momentum restarts (x_prev = x, so x_{-1} = x_0 = the last
-    iterate of the previous stage).  Carrying the velocity built up at the
-    previous, larger stepsize into a stage with beta close to 1 undoes the
-    stepsize drop; the per-stage factor 2 in the allocator's weights
-    (budget_allocator.masg_coefficients) assumes the restart.
+    Every stage of hp runs at its own (alpha, beta); dp-gd, dp-hb and dp-nag
+    take one stage, dp-gd with beta = 0.  dp-masg's plan (masg_stage_schedule)
+    has stepsize c/L in stage 1, c/16L in stage 2 and 4x smaller in each
+    stage after that, with beta the Nesterov momentum of the stage's
+    stepsize.  At the first iteration of every stage the momentum restarts
+    (x_prev = x, so x_{-1} = x_0 = the last iterate of the previous stage).
+    Carrying the velocity built up at the previous, larger stepsize into a
+    stage with beta close to 1 undoes the stepsize drop; the per-stage
+    factor 2 in the allocator's weights (budget_allocator.masg_coefficients)
+    assumes the restart.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
-    if len(schedule) != hp.T:
-        raise ValueError(f"schedule length {len(schedule)} != T = {hp.T}")
+    if algorithm != "dp-masg" and len(hp.stages) > 1:
+        raise ValueError(f"{algorithm} runs one stage, got {len(hp.stages)}")
+    if algorithm == "dp-gd" and any(beta for _, _, beta in hp.stages):
+        raise ValueError("dp-gd runs without momentum, got a stage with beta > 0")
+    T = hp.T
+    if len(schedule) != T:
+        raise ValueError(f"schedule length {len(schedule)} != T = {T}")
     if hp.m > obj.n:
         raise ValueError(f"subsample size {hp.m} exceeds n = {obj.n}")
     if not np.isfinite(fstar):
@@ -214,17 +193,6 @@ def run(
     if x.shape != (obj.d,):
         raise ValueError(f"x0 must have shape ({obj.d},), got {x.shape}")
 
-    # The run is a sequence of segments of constant (alpha, beta), each
-    # starting with no momentum (x_{-1} = x_0): one segment for the whole
-    # run, or one per dp-masg stage.
-    beta = 0.0 if algorithm == "dp-gd" else float(hp.beta)
-    if algorithm == "dp-masg":
-        if hp.stages is None or hp.stages.total != hp.T:
-            raise ValueError("dp-masg needs a stage plan covering exactly T iterations")
-        alphas = hp.stages.alphas
-        segments = zip(hp.stages.lengths, alphas, nesterov_momentum(np.array(alphas), obj.mu))
-    else:
-        segments = [(hp.T, float(hp.alpha), beta)]
     lookahead = algorithm in ("dp-nag", "dp-masg")
     n, m, d = obj.n, hp.m, obj.d
     subsampled = m < n
@@ -232,13 +200,14 @@ def run(
     b, eps = schedule.b, schedule.eps
 
     start = time.perf_counter()
-    iterates = np.empty((hp.T + 1, d))
-    eps_cum = np.empty(hp.T + 1)
+    iterates = np.empty((T + 1, d))
+    eps_cum = np.empty(T + 1)
     iterates[0] = x
     eps_cum[0] = 0.0
 
+    # each stage starts with no momentum (x_{-1} = x_0)
     first = 0
-    for length, alpha_s, beta_s in segments:
+    for length, alpha_s, beta_s in hp.stages:
         x_prev = x
         one_plus = 1.0 + beta_s
         for t in range(first, first + length):
@@ -261,13 +230,9 @@ def run(
     subopt = obj.values(iterates) - fstar
     meta = {
         "algorithm": algorithm,
-        "alpha": None if hp.stages is not None else hp.alpha,
-        "beta": None if hp.stages is not None else beta,
-        "stages": None
-        if hp.stages is None
-        else {"lengths": list(hp.stages.lengths), "alphas": list(hp.stages.alphas)},
+        "stages": [list(stage) for stage in hp.stages],
         "m": hp.m,
-        "T": hp.T,
+        "T": T,
         "seed": rng.seed,
         "schedule": schedule.provenance,
         "epsilon_total": account.epsilon_total,
@@ -275,7 +240,7 @@ def run(
         "wall_time": time.perf_counter() - start,
     }
     return Trace(
-        t=np.arange(hp.T + 1),
+        t=np.arange(T + 1),
         subopt=subopt,
         eps_cum=eps_cum,
         meta=meta,

@@ -84,9 +84,6 @@ class RngStream:
             raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
         return self._generator().choice(n, size=m, replace=False)
 
-    def __repr__(self) -> str:
-        return f"RngStream(seed={self.seed}, counter={self.counter})"
-
 
 def laplace_sample(rng: RngStream, b: float, d: int) -> np.ndarray:
     """Draw a d-vector of iid Laplace(0, b) noise by inverse CDF.

@@ -6,6 +6,8 @@ Meant for eyeballing convergence curves without pulling in matplotlib.
 
 from __future__ import annotations
 
+from html import escape
+
 import numpy as np
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
@@ -18,7 +20,7 @@ def _ticks(lo: float, hi: float) -> np.ndarray:
     """About five round-numbered ticks over a finite range with hi > lo."""
     raw = (hi - lo) / 5
     mag = 10.0 ** np.floor(np.log10(raw))
-    step = min((s for s in (1, 2, 5, 10) if s * mag >= raw), default=10) * mag
+    step = min(s for s in (1, 2, 5, 10) if s * mag >= raw) * mag
     first = np.ceil(lo / step) * step
     return np.arange(first, hi + 0.5 * step, step)
 
@@ -60,7 +62,7 @@ def write_line_svg(path, curves, title: str, xlabel: str, ylabel: str) -> None:
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{inner_w}" height="{inner_h}" '
         'fill="none" stroke="#333"/>',
         f'<text x="{_WIDTH / 2:.1f}" y="18" text-anchor="middle" '
-        f'font-size="13">{_esc(title)}</text>',
+        f'font-size="13">{escape(title, quote=False)}</text>',
     ]
     for x in _ticks(x_lo, x_hi):
         parts.append(
@@ -78,9 +80,10 @@ def write_line_svg(path, curves, title: str, xlabel: str, ylabel: str) -> None:
         )
     parts += [
         f'<text x="{_MARGIN_L + inner_w / 2:.1f}" y="{_HEIGHT - 8}" '
-        f'text-anchor="middle">{_esc(xlabel)}</text>',
+        f'text-anchor="middle">{escape(xlabel, quote=False)}</text>',
         f'<text x="14" y="{_MARGIN_T + inner_h / 2:.1f}" text-anchor="middle" '
-        f'transform="rotate(-90 14 {_MARGIN_T + inner_h / 2:.1f})">{_esc(ylabel)}</text>',
+        f'transform="rotate(-90 14 {_MARGIN_T + inner_h / 2:.1f})">'
+        f'{escape(ylabel, quote=False)}</text>',
     ]
     for i, (label, xs, ys) in enumerate(cleaned):
         color = _COLORS[i % len(_COLORS)]
@@ -90,12 +93,8 @@ def write_line_svg(path, curves, title: str, xlabel: str, ylabel: str) -> None:
         parts.append(
             f'<line x1="{_MARGIN_L + inner_w - 110}" y1="{ly - 4}" '
             f'x2="{_MARGIN_L + inner_w - 90}" y2="{ly - 4}" stroke="{color}" stroke-width="2"/>'
-            f'<text x="{_MARGIN_L + inner_w - 85}" y="{ly}">{_esc(label)}</text>'
+            f'<text x="{_MARGIN_L + inner_w - 85}" y="{ly}">{escape(label, quote=False)}</text>'
         )
     parts.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(parts))
-
-
-def _esc(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")

@@ -363,7 +363,7 @@ def test_acceptance_07_tuned_heavy_ball_rate_recovery(quadratic):
     obj = quadratic(np.diag([mu, L]))
     T = 160
     tr = run(
-        "dp-hb", obj, HyperParams(alpha=alpha, T=T, m=1, beta=beta),
+        "dp-hb", obj, HyperParams(m=1, stages=((T, alpha, beta),)),
         NoiseSchedule(np.zeros(T), np.zeros(T)), PrivacyAccount(1.0, T, 1, 1), RngStream(7),
         np.ones(2), obj.fstar,
     )
@@ -395,7 +395,7 @@ def test_acceptance_08_certificates_sound_against_simulation(quadratic):
         obj = quadratic(np.diag([mu, L]))
         T = 400
         tr = run(
-            "dp-hb", obj, HyperParams(alpha=alpha, T=T, m=1, beta=beta),
+            "dp-hb", obj, HyperParams(m=1, stages=((T, alpha, beta),)),
             NoiseSchedule(np.zeros(T), np.zeros(T)), PrivacyAccount(1.0, T, 1, 1),
             RngStream(88), np.ones(2), obj.fstar,
         )
@@ -431,21 +431,23 @@ def test_acceptance_10_stage_arithmetic_and_single_stage_equivalence(quadratic):
     # stage lengths 10/40/80, stepsizes c/L, c/16L, c/64L
     assert int(np.ceil(np.sqrt(20.0) * np.log(8.0))) == 10
     stages = masg_stage_schedule(mu=0.05, L=1.0, c=0.7, p=1, T=130)
-    assert stages.lengths == (10, 40, 80)
-    assert stages.total == 130
-    assert stages.alphas == (0.7, 0.7 / 16.0, 0.7 / 64.0)
+    lengths, alphas, _ = zip(*stages)
+    assert lengths == (10, 40, 80)
+    assert HyperParams(m=1, stages=stages).T == 130
+    assert alphas == (0.7, 0.7 / 16.0, 0.7 / 64.0)
 
     # a single-stage plan (T below the unit) must reproduce the plain
-    # lookahead method bitwise under a shared noise stream
+    # lookahead method bitwise under a shared noise stream; the plan carries
+    # the momentum of the mu it was built for, not the objective's
     T = 8
     single = masg_stage_schedule(mu=0.05, L=1.0, c=0.7, p=1, T=T)
-    assert single.lengths == (T,)
+    assert [length for length, _, _ in single] == [T]
     obj = quadratic(np.array([[1.0]]))
     eps = np.full(T, 0.01)
     sched = NoiseSchedule(b=np.full(T, 0.8), eps=eps, provenance="test")
     x0 = np.array([3.0])
-    hp_m = HyperParams(alpha=single.alphas[0], T=T, m=1, stages=single)
-    hp_n = HyperParams(alpha=0.7, T=T, m=1, beta=nesterov_momentum(0.7, obj.mu))
+    hp_m = HyperParams(m=1, stages=single)
+    hp_n = HyperParams(m=1, stages=((T, 0.7, nesterov_momentum(0.7, 0.05)),))
     a = run("dp-masg", obj, hp_m, sched,
             PrivacyAccount(float(eps.sum()) + 1e-12, T, 1, 1), RngStream(5),
             x0, obj.fstar, record_iterates=True)
@@ -471,7 +473,7 @@ def test_acceptance_11_momentum_form_equivalence(smoothed_heavy_ball, quadratic)
         eps = np.full(T, 0.01)
         sched = NoiseSchedule(b=np.full(T, 0.3), eps=eps, provenance="test")
         x0 = rng.normal(size=d)
-        hp = HyperParams(alpha=alpha, T=T, m=1, beta=beta)
+        hp = HyperParams(m=1, stages=((T, alpha, beta),))
         a = run("dp-hb", obj, hp, sched,
                 PrivacyAccount(2.0, T, 1, 1), RngStream(1100 + trial),
                 x0, obj.fstar, record_iterates=True)

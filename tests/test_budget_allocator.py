@@ -15,18 +15,18 @@ from dpaccel.budget_allocator import (
     rescale_for_subsampling,
     select_horizon,
 )
-from dpaccel.optimizers import StageSchedule, masg_stage_schedule
+from dpaccel.optimizers import masg_stage_schedule, nesterov_momentum
 from dpaccel.privacy_core import BUDGET_TOL, epsilon_of
 
 
 def stage_of(stages, i):
     """1-based stage of 1-based iteration i, found by walking the stage lengths."""
     end = 0
-    for k, length in enumerate(stages.lengths, start=1):
+    for k, (length, _, _) in enumerate(stages, start=1):
         end += length
         if i <= end:
             return k
-    raise ValueError(f"iteration {i} outside 1..{stages.total}")
+    raise ValueError(f"iteration {i} outside 1..{end}")
 
 
 def reference_horizon(builder, E0, S1, n, eps, d, T_max):
@@ -100,7 +100,7 @@ def test_masg_coefficients_match_slow_formula():
     assert co.T == T
     s_T = stage_of(stages, T)
     # explicit per-iteration products
-    alphas = [stages.alphas[stage_of(stages, i) - 1] for i in range(1, T + 1)]
+    alphas = [stages[stage_of(stages, i) - 1][1] for i in range(1, T + 1)]
     for t in range(1, T + 1):
         prod = 1.0
         for i in range(t + 1, T + 1):
@@ -115,9 +115,9 @@ def test_masg_coefficients_match_slow_formula():
 def slow_masg_weights(stages, mu, L):
     """a0 and a_t of masg_coefficients, one iteration at a time; each
     suffix product is accumulated from i = T down to i = t + 1."""
-    T = stages.total
+    T = sum(length for length, _, _ in stages)
     s_T = stage_of(stages, T)
-    alphas = [stages.alphas[stage_of(stages, i) - 1] for i in range(1, T + 1)]
+    alphas = [stages[stage_of(stages, i) - 1][1] for i in range(1, T + 1)]
     q = [1 - np.sqrt(mu * alpha) for alpha in alphas]
     a = []
     for t in range(1, T + 1):
@@ -233,7 +233,7 @@ def test_select_horizon_near_ties(scheme):
 
 def test_masg_single_stage_equals_nag():
     mu, L, alpha, T = 0.1, 2.0, 0.5, 12
-    via_stage = masg_coefficients(StageSchedule(lengths=(T,), alphas=(alpha,)), mu, L)
+    via_stage = masg_coefficients(((T, alpha, nesterov_momentum(alpha, mu)),), mu, L)
     via_nag = nag_coefficients(mu, L, alpha, T)
     assert via_stage.a0 == pytest.approx(via_nag.a0, rel=1e-15)
     assert via_stage.a == pytest.approx(via_nag.a, rel=1e-15)
@@ -455,7 +455,7 @@ def test_masg_opt_allocation_structure():
     co = masg_coefficients(stages, 0.02, 0.86)
     sched = optimal_schedule(co, 40.0, 10**4, 1.0)
     stage_it = np.array([stage_of(stages, t) for t in range(1, co.T + 1)])
-    for k in range(1, stages.stages + 1):
+    for k in range(1, len(stages) + 1):
         seg = sched.b[stage_it == k]
         assert np.all(np.diff(seg) < 0)
     assert sched.total_epsilon == pytest.approx(1.0, abs=1e-9)

@@ -100,6 +100,11 @@ def test_noise_bound_validation():
         noise_bound(40.0, 100, 1_000, 0.5, 0)
     with pytest.raises(ValueError):
         noise_bound(40.0, 0, 1_000, 0.5, 20)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            noise_bound(bad, 100, 1_000, 0.5, 20)
+        with pytest.raises(ValueError, match="finite"):
+            noise_bound(40.0, 100, 1_000, bad, 20)
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +524,11 @@ def test_eval_bound_guards():
         eval_shb_bound(_cert(), -1.0, 1.0, 0.1, 4, 2.0, 1)
     with pytest.raises(ValueError):
         eval_shb_bound(_cert(), 1.0, -1.0, 0.1, 4, 2.0, 1)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            eval_shb_bound(_cert(), bad, 1.0, 0.1, 4, 2.0, 1)
+        with pytest.raises(ValueError, match="finite"):
+            eval_shb_bound(_cert(), 1.0, bad, 0.1, 4, 2.0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -609,6 +619,15 @@ def test_quadratic_rate_validation():
         quadratic_rate(1.0, 0.0, [])
     with pytest.raises(ValueError):
         quadratic_rate(1.0, 0.0, [0.0, 1.0])
+    # a NaN alpha would read as a complex pair of modulus sqrt(beta), a NaN
+    # eigenvalue as a contractive spectrum
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="stepsize"):
+            quadratic_rate(bad, 0.1, [0.5, 1.0])
+        with pytest.raises(ValueError, match="eigenvalues"):
+            quadratic_rate(0.5, 0.1, [0.5, bad])
+    with pytest.raises(ValueError, match="momentum"):
+        quadratic_rate(0.5, np.nan, [0.5, 1.0])
 
 
 def test_quadratic_bound_hand_floor():
@@ -648,6 +667,11 @@ def test_quadratic_bound_guards():
         quadratic_bound(rep, -0.1, 1, 1.0)
     with pytest.raises(ValueError):
         quadratic_bound(rep, 0.1, 1, -1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            quadratic_bound(rep, bad, 1, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            quadratic_bound(rep, 0.1, 1, bad)
 
 
 def test_rate_momentum_sweep_shape():

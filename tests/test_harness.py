@@ -15,6 +15,7 @@ import pytest
 import dpaccel
 from dpaccel import budget_allocator as ba
 from dpaccel import harness
+from dpaccel._table import write_json
 from dpaccel.budget_allocator import masg_coefficients_for, optimized_bound_value
 from dpaccel.cli import main
 from dpaccel.harness import (
@@ -82,7 +83,7 @@ def test_config_defaults_and_seed_list():
 def test_config_json_round_trip(tmp_path):
     cfg = tiny_config()
     path = tmp_path / "config.json"
-    cfg.to_json(path)
+    write_json(path, dataclasses.asdict(cfg))
     back = ExperimentConfig.from_json(path)
     assert back == cfg
     assert isinstance(back.algorithms, tuple)
@@ -110,13 +111,23 @@ _MALFORMED = [
     ("masg_p", 1.0), ("workers", 2.0), ("m_values", (50.0,)), ("T_values", (5.0,)),
     ("u_max", np.nan), ("u_max", np.inf), ("lam", np.inf), ("lam", -1.0),
     ("epsilon", np.inf), ("epsilon", np.nan), ("epsilon", 0.0),
+    # what a JSON config can hold besides numbers: strings, null, booleans
+    ("u_max", "20"), ("e0_guess", None), ("epsilon", True), ("lam", False), ("d", True),
+    ("m_values", (True,)), ("T_values", ("5",)), ("c_values", ("0.5",)), ("c_values", 0.5),
+    ("algorithms", "dp-gd"), ("algorithms", 5),
 ]
 
 
-def test_config_validation():
+def test_config_validation(tmp_path):
     for field, value in _MALFORMED:
         with pytest.raises(ValueError, match=f"^{field} "):
             tiny_config(**{field: value})
+    # a config file is refused the same way
+    path = tmp_path / "config.json"
+    for raw in ({"u_max": "20"}, {"e0_guess": None}, {"c_values": ["0.5"]}, {"epsilon": True}):
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match=f"^{next(iter(raw))} must be a number"):
+            ExperimentConfig.from_json(path)
     with pytest.raises(ValueError):
         tiny_config(m_values=(500,))  # m > n
     with pytest.raises(ValueError):
@@ -188,26 +199,26 @@ def test_plan_cell_uniform_algorithms(small_obj):
     for algo in ("dp-gd", "dp-hb", "dp-nag"):
         run_algo, hp, sched = plan_cell(algo, obj, 40, 6, 0.5, 1.0, 10.0, 1)
         assert run_algo == algo
-        assert hp.alpha == 0.5 / obj.L
+        assert len(hp.stages) == 1 and hp.stages[0][:2] == (6, 0.5 / obj.L)
         assert hp.T == 6 and hp.m == 40
         assert sched.provenance == "uniform"
         assert len(sched.b) == 6
         leak = float(np.sum(epsilon_of(S1, sched.b, obj.n, 40)))
         assert leak == pytest.approx(1.0, abs=1e-9)
     _, hp_gd, _ = plan_cell("dp-gd", obj, 40, 6, 0.5, 1.0, 10.0, 1)
-    assert hp_gd.beta == 0.0
+    assert hp_gd.stages[0][2] == 0.0
     _, hp_hb, _ = plan_cell("dp-hb", obj, 40, 6, 0.5, 1.0, 10.0, 1)
-    assert hp_hb.beta == pytest.approx(polyak_momentum(obj.mu, obj.L), rel=1e-15)
+    assert hp_hb.stages[0][2] == pytest.approx(polyak_momentum(obj.mu, obj.L), rel=1e-15)
     _, hp_nag, _ = plan_cell("dp-nag", obj, 40, 6, 0.5, 1.0, 10.0, 1)
-    assert hp_nag.beta == pytest.approx(nesterov_momentum(0.5 / obj.L, obj.mu), rel=1e-15)
+    assert hp_nag.stages[0][2] == pytest.approx(nesterov_momentum(0.5 / obj.L, obj.mu), rel=1e-15)
 
 
 def test_plan_cell_masg(small_obj):
     run_algo, hp, sched = plan_cell("dp-masg", small_obj, 120, 30, 1.0, 1.0, 10.0, 1)
     assert run_algo == "dp-masg"
-    assert hp.stages is not None
-    assert hp.stages.total == 30
-    assert hp.alpha == hp.stages.alphas[0]
+    assert len(hp.stages) > 1
+    assert hp.T == 30
+    assert hp.stages[0][1] == 1.0 / small_obj.L
     assert sched.provenance == "uniform"
 
 
@@ -245,11 +256,10 @@ def _replay_plan_cell(algo, obj, m, T, c, epsilon, e0, p):
     if algo in ("dp-gd", "dp-hb", "dp-nag"):
         beta = {"dp-gd": 0.0, "dp-hb": polyak_momentum(mu, L),
                 "dp-nag": nesterov_momentum(alpha, mu)}[algo]
-        hp = HyperParams(alpha=alpha, T=T, m=m, beta=beta)
+        hp = HyperParams(m=m, stages=((T, alpha, beta),))
         return algo, hp, uniform_scale(S1, epsilon, T, n, m)
     if algo == "dp-masg":
-        stages = masg_stage_schedule(mu, L, c, p, T)
-        hp = HyperParams(alpha=stages.alphas[0], T=T, m=m, stages=stages)
+        hp = HyperParams(m=m, stages=masg_stage_schedule(mu, L, c, p, T))
         return algo, hp, uniform_scale(S1, epsilon, T, n, m)
     if algo == "dp-nag-opt":
         builder = lambda Tp: ba.nag_coefficients(mu, L, alpha, Tp)
@@ -261,10 +271,9 @@ def _replay_plan_cell(algo, obj, m, T, c, epsilon, e0, p):
     if m < n:
         sched, _ = ba.rescale_for_subsampling(sched, S1, n, m, epsilon)
     if algo == "dp-nag-opt":
-        hp = HyperParams(alpha=alpha, T=T_eff, m=m, beta=nesterov_momentum(alpha, mu))
+        hp = HyperParams(m=m, stages=((T_eff, alpha, nesterov_momentum(alpha, mu)),))
         return "dp-nag", hp, sched
-    stages = masg_stage_schedule(mu, L, c, p, T_eff)
-    hp = HyperParams(alpha=stages.alphas[0], T=T_eff, m=m, stages=stages)
+    hp = HyperParams(m=m, stages=masg_stage_schedule(mu, L, c, p, T_eff))
     return "dp-masg", hp, sched
 
 
@@ -682,13 +691,26 @@ def test_readme_config_loads(tmp_path):
     assert cfg.m_values == (500, 2000) and cfg.seed_list == [1000 + r for r in range(5)]
 
 
-def test_cli_certify(tmp_path):
+def test_readme_library_quickstart_runs(capsys):
+    # the library quickstart in README runs as written and spends its budget
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library quickstart", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    trace, account = scope["trace"], scope["account"]
+    assert len(trace.t) == scope["T"] + 1 and np.all(np.isfinite(trace.subopt))
+    assert account.remaining == pytest.approx(0.0, abs=1e-9)
+    assert capsys.readouterr().out == f"{trace.subopt[-1]} {account.spent}\n"
+
+
+def test_cli_certify(tmp_path, capsys):
     out_json = tmp_path / "cert.json"
     out_curve = tmp_path / "bound.csv"
-    rc = main(["certify", "--alpha", "1.0", "--beta", "0.0", "--mu", "0.5", "--L", "1.0",
-               "--out-json", str(out_json),
-               "--S1", "4.0", "--epsilon", "1.0", "--T", "20", "--n", "1000", "--m", "1000",
-               "--out-curve", str(out_curve)])
+    argv = ["certify", "--alpha", "1.0", "--beta", "0.0", "--mu", "0.5", "--L", "1.0",
+            "--out-json", str(out_json),
+            "--epsilon", "1.0", "--T", "20", "--n", "1000", "--m", "1000",
+            "--out-curve", str(out_curve)]
+    rc = main(argv + ["--S1", "4.0"])
     assert rc == 0
     with open(out_json) as fh:
         payload = json.load(fh)
@@ -696,6 +718,7 @@ def test_cli_certify(tmp_path):
     lines = out_curve.read_text().strip().splitlines()
     assert lines[0] == "t,bound"
     assert len(lines) == 22  # header + t = 0..20
+    _assert_refused(capsys, argv + ["--S1", "nan"], "need finite S1 > 0")
 
 
 def test_cli_certify_infeasible_exit_code():
@@ -703,21 +726,23 @@ def test_cli_certify_infeasible_exit_code():
                  "--mu", "0.5", "--L", "1.0"]) == 1
 
 
-def test_cli_analyze_quadratic(tmp_path):
+def test_cli_analyze_quadratic(tmp_path, capsys):
     out = tmp_path / "bound.csv"
-    rc = main(["analyze-quadratic", "--alpha", "0.5", "--beta", "0.1",
-               "--eigs", "0.5,1.0", "--sigma2", "0.01", "--t-max", "15",
-               "--out", str(out)])
+    argv = ["analyze-quadratic", "--beta", "0.1",
+            "--eigs", "0.5,1.0", "--sigma2", "0.01", "--t-max", "15",
+            "--out", str(out)]
+    rc = main(argv + ["--alpha", "0.5"])
     assert rc == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "t,bound"
     assert len(lines) == 17
+    _assert_refused(capsys, argv + ["--alpha", "nan"], "stepsize must be finite and positive")
 
 
 def test_cli_run_and_summarize(tmp_path):
     cfg = tiny_config(algorithms=("dp-gd",), m_values=(40,), T_values=(5,))
     cfg_path = tmp_path / "config.json"
-    cfg.to_json(cfg_path)
+    write_json(cfg_path, dataclasses.asdict(cfg))
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert (out / "summary.json").exists()
@@ -738,17 +763,25 @@ def test_cli_run_and_summarize(tmp_path):
 
 def test_cli_run_workers_sets_the_config(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
-    tiny_config(algorithms=("dp-gd",), m_values=(40,), T_values=(5,)).to_json(cfg_path)
+    write_json(cfg_path, dataclasses.asdict(
+        tiny_config(algorithms=("dp-gd",), m_values=(40,), T_values=(5,))))
     args = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
     assert main(args + ["--workers", "2"]) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["config"]["workers"] == 2
     _assert_refused(capsys, args + ["--workers", "0"], "workers")
+    # a missing or malformed config file: one error line, not a traceback
+    missing = tmp_path / "missing.json"
+    _assert_refused(capsys, ["run", "--config", str(missing), "--out", str(tmp_path / "o")],
+                    f"No such file or directory: '{missing}'")
+    cfg_path.write_text(json.dumps({"u_max": "20"}))
+    _assert_refused(capsys, args, "u_max must be a number, got '20'")
 
 
 def test_cli_run_seed_base_sets_the_config(tmp_path):
     cfg_path = tmp_path / "config.json"
-    tiny_config(algorithms=("dp-gd",), m_values=(40,), T_values=(5,)).to_json(cfg_path)
+    write_json(cfg_path, dataclasses.asdict(
+        tiny_config(algorithms=("dp-gd",), m_values=(40,), T_values=(5,))))
     args = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
     assert main(args + ["--seed-base", "50"]) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
@@ -762,7 +795,7 @@ def test_cli_summarize_trace_outside_grid(tmp_path, capsys):
     # run() writes no grid metadata, so the cell has no stepsize scale c
     obj = build_objective(tiny_config())
     T = 5
-    hp = HyperParams(alpha=1.0 / obj.L, T=T, m=obj.n)
+    hp = HyperParams(m=obj.n, stages=((T, 1.0 / obj.L, 0.0),))
     sched = uniform_scale(obj.sensitivity_bound(), 1.0, T, obj.n, obj.n)
     account = PrivacyAccount(1.0 + 1e-9, T, obj.n, obj.n)
     trace = run("dp-gd", obj, hp, sched, account, RngStream(1), np.zeros(obj.d), fstar=0.0)

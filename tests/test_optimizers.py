@@ -11,7 +11,6 @@ from dpaccel.objectives import Dataset, LogisticObjective, generate_synthetic
 from dpaccel.optimizers import (
     ALGORITHMS,
     HyperParams,
-    StageSchedule,
     Trace,
     masg_stage_schedule,
     nesterov_momentum,
@@ -42,8 +41,6 @@ def test_momentum_formulas():
     want = ((np.sqrt(kappa) - 1) / (np.sqrt(kappa) + 1)) ** 2
     assert polyak_momentum(0.5, 1.0) == pytest.approx(want)
     assert nesterov_momentum(1.0, 0.25) == pytest.approx(1 / 3)
-    arr = nesterov_momentum(np.array([1.0, 0.25]), 0.25)
-    assert arr == pytest.approx([1 / 3, (1 - 0.25) / (1 + 0.25)])
     with pytest.raises(ValueError):
         nesterov_momentum(2.0, 0.5)
     with pytest.raises(ValueError):
@@ -54,7 +51,7 @@ def test_momentum_formulas():
 
 def test_gd_single_step(quadratic):
     obj, _, _ = noisy_setup(quadratic, 1)
-    hp = HyperParams(alpha=0.5, T=1, m=1)
+    hp = HyperParams(m=1, stages=((1, 0.5, 0.0),))
     trace = run("dp-gd", obj, hp, no_noise(1),
                 PrivacyAccount(1.0, 1, 1, 1), RngStream(0), np.array([1.0]),
                 obj.fstar, record_iterates=True)
@@ -65,7 +62,7 @@ def test_gd_single_step(quadratic):
 def test_gd_contracts_per_step(quadratic):
     Q = np.diag([0.5, 1.0, 1.5])
     obj = quadratic(Q)
-    hp = HyperParams(alpha=1 / obj.L, T=30, m=1)
+    hp = HyperParams(m=1, stages=((30, 1 / obj.L, 0.0),))
     trace = run("dp-gd", obj, hp, no_noise(30), PrivacyAccount(1.0, 30, 1, 1),
                 RngStream(0), np.array([2.0, -1.0, 0.5]), obj.fstar,
                 record_iterates=True)
@@ -76,7 +73,7 @@ def test_gd_contracts_per_step(quadratic):
 
 def test_hb_hand_recursion(quadratic):
     obj = quad1d(quadratic)
-    hp = HyperParams(alpha=1.0, T=3, m=1, beta=0.5)
+    hp = HyperParams(m=1, stages=((3, 1.0, 0.5),))
     trace = run("dp-hb", obj, hp, no_noise(3), PrivacyAccount(1.0, 3, 1, 1),
                 RngStream(0), np.array([1.0]), obj.fstar, record_iterates=True)
     assert trace.iterates[:, 0] == pytest.approx([1.0, 0.0, -0.5, -0.25], abs=1e-15)
@@ -85,7 +82,7 @@ def test_hb_hand_recursion(quadratic):
 def test_nag_hand_recursion(quadratic):
     # alpha=1 on unit quadratic solves in one step; momentum keeps it there
     obj = quad1d(quadratic)
-    hp = HyperParams(alpha=1.0, T=3, m=1, beta=1 / 3)
+    hp = HyperParams(m=1, stages=((3, 1.0, 1 / 3),))
     trace = run("dp-nag", obj, hp, no_noise(3), PrivacyAccount(1.0, 3, 1, 1),
                 RngStream(0), np.array([1.0]), obj.fstar, record_iterates=True)
     assert trace.iterates[:, 0] == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-15)
@@ -96,11 +93,11 @@ def test_beta_zero_reductions(quadratic):
     T = 50
     obj, sched, _ = noisy_setup(quadratic, T)
     x0 = np.array([2.0])
-    ref = run("dp-gd", obj, HyperParams(alpha=0.1, T=T, m=1), sched,
+    ref = run("dp-gd", obj, HyperParams(m=1, stages=((T, 0.1, 0.0),)), sched,
               PrivacyAccount(1.0, T, 1, 1), RngStream(11), x0, obj.fstar,
               record_iterates=True)
     for algo in ("dp-hb", "dp-nag"):
-        tr = run(algo, obj, HyperParams(alpha=0.1, T=T, m=1, beta=0.0), sched,
+        tr = run(algo, obj, HyperParams(m=1, stages=((T, 0.1, 0.0),)), sched,
                  PrivacyAccount(1.0, T, 1, 1), RngStream(11), x0, obj.fstar,
                  record_iterates=True)
         assert np.array_equal(tr.iterates, ref.iterates), algo
@@ -116,7 +113,7 @@ def test_hb_smoothed_form_equivalence(smoothed_heavy_ball, quadratic):
         T = 100
         obj, sched, _ = noisy_setup(quadratic, T, b=0.3)
         x0 = rng.normal(size=1)
-        a = run("dp-hb", obj, HyperParams(alpha=alpha, T=T, m=1, beta=beta), sched,
+        a = run("dp-hb", obj, HyperParams(m=1, stages=((T, alpha, beta),)), sched,
                 PrivacyAccount(1.0, T, 1, 1), RngStream(trial), x0, obj.fstar,
                 record_iterates=True)
         b = smoothed_heavy_ball(obj, alpha, beta, 1, sched, trial, x0)
@@ -126,25 +123,44 @@ def test_hb_smoothed_form_equivalence(smoothed_heavy_ball, quadratic):
 def test_masg_stage_arithmetic():
     # kappa = 20, p = 1: unit = ceil(sqrt(20) ln 8) = 10, stages 10/40/80,
     # stepsizes c/L, c/16L, c/64L
+    # and each stage's momentum is its stepsize's Nesterov momentum
     stages = masg_stage_schedule(mu=0.05, L=1.0, c=1.0, p=1, T=130)
-    assert stages.lengths == (10, 40, 80)
-    assert stages.alphas == pytest.approx((1.0, 1 / 16, 1 / 64))
+    assert [length for length, _, _ in stages] == [10, 40, 80]
+    assert [alpha for _, alpha, _ in stages] == pytest.approx([1.0, 1 / 16, 1 / 64])
+    assert [beta for _, _, beta in stages] == [nesterov_momentum(a, 0.05) for _, a, _ in stages]
     # truncation keeps the total exactly T
     trunc = masg_stage_schedule(mu=0.05, L=1.0, c=1.0, p=1, T=100)
-    assert trunc.lengths == (10, 40, 50)
-    assert trunc.total == 100
+    assert [length for length, _, _ in trunc] == [10, 40, 50]
+    assert HyperParams(m=1, stages=trunc).T == 100
     short = masg_stage_schedule(mu=0.05, L=1.0, c=1.0, p=1, T=5)
-    assert short.lengths == (5,)
-    assert trunc.alphas[0] == 1.0
+    assert [length for length, _, _ in short] == [5]
+    assert trunc[0][1] == 1.0
 
 
 def test_stage_schedule_validation():
+    # every stage is a (length, alpha, beta) triple with length >= 1, a finite
+    # alpha > 0 and 0 <= beta < 1
     with pytest.raises(ValueError):
-        StageSchedule(lengths=(3,), alphas=(0.1, 0.2))
+        HyperParams(m=1, stages=((3, 0.1, 0.0, 0.2),))
     with pytest.raises(ValueError):
-        StageSchedule(lengths=(0,), alphas=(0.1,))
-    with pytest.raises(ValueError):
-        StageSchedule(lengths=(3,), alphas=(-0.1,))
+        HyperParams(m=1, stages=((3, 0.1),))
+    with pytest.raises(ValueError, match="lengths"):
+        HyperParams(m=1, stages=((0, 0.1, 0.0),))
+    for alpha in (-0.1, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="stepsize"):
+            HyperParams(m=1, stages=((3, 0.1, 0.0), (3, alpha, 0.0)))
+    for beta in (-0.1, 1.0, np.nan):
+        with pytest.raises(ValueError, match="momentum"):
+            HyperParams(m=1, stages=((3, 0.1, beta),))
+    with pytest.raises(ValueError, match="m >= 1"):
+        HyperParams(m=0, stages=((3, 0.1, 0.0),))
+    # a negative stepsize, which would run gradient ascent
+    with pytest.raises(ValueError, match="stepsize"):
+        HyperParams(m=200, stages=((20, -1.0, 0.5),))
+    plan = HyperParams(m=1, stages=[[3, 0.1, 0.0], (np.int64(2), np.float64(0.05), 0.5)])
+    assert plan.stages == ((3, 0.1, 0.0), (2, 0.05, 0.5))
+    assert plan.T == 5
+    assert HyperParams(m=1, stages=()).T == 0
 
 
 def test_masg_single_stage_is_nag_bitwise(quadratic):
@@ -152,12 +168,10 @@ def test_masg_single_stage_is_nag_bitwise(quadratic):
     obj, sched, _ = noisy_setup(quadratic, T, b=0.8)
     x0 = np.array([3.0])
     alpha = 0.7
-    stages = StageSchedule(lengths=(T,), alphas=(alpha,))
-    hp_m = HyperParams(alpha=alpha, T=T, m=1, stages=stages)
-    hp_n = HyperParams(alpha=alpha, T=T, m=1, beta=nesterov_momentum(alpha, obj.mu))
-    a = run("dp-masg", obj, hp_m, sched, PrivacyAccount(1.0, T, 1, 1),
+    hp = HyperParams(m=1, stages=((T, alpha, nesterov_momentum(alpha, obj.mu)),))
+    a = run("dp-masg", obj, hp, sched, PrivacyAccount(1.0, T, 1, 1),
             RngStream(5), x0, obj.fstar, record_iterates=True)
-    b = run("dp-nag", obj, hp_n, sched, PrivacyAccount(1.0, T, 1, 1),
+    b = run("dp-nag", obj, hp, sched, PrivacyAccount(1.0, T, 1, 1),
             RngStream(5), x0, obj.fstar, record_iterates=True)
     assert np.array_equal(a.iterates, b.iterates)
     assert np.array_equal(a.subopt, b.subopt)
@@ -171,17 +185,17 @@ def test_masg_momentum_tracks_stage_stepsize(quadratic):
     # beta close to 1, and the noiseless error then rose with T.
     obj = quadratic(np.diag([0.05, 1.0]))
     stages = masg_stage_schedule(obj.mu, obj.L, 1.0, 1, 60)
-    assert stages.stages >= 3
-    hp = HyperParams(alpha=stages.alphas[0], T=60, m=1, stages=stages)
+    assert len(stages) >= 3
+    hp = HyperParams(m=1, stages=stages)
     trace = run("dp-masg", obj, hp, no_noise(60), PrivacyAccount(1.0, 60, 1, 1),
                 RngStream(2), np.array([1.0, 1.0]), obj.fstar, record_iterates=True)
     x_prev = x = np.array([1.0, 1.0])
-    stage = [k for k, length in enumerate(stages.lengths) for _ in range(length)]
+    stage = [k for k, (length, _, _) in enumerate(stages) for _ in range(length)]
     for t in range(60):
         k = stage[t]
         if t > 0 and k != stage[t - 1]:
             x_prev = x
-        a = stages.alphas[k]
+        a = stages[k][1]
         beta = (1 - np.sqrt(a * obj.mu)) / (1 + np.sqrt(a * obj.mu))
         z = (1 + beta) * x - beta * x_prev
         x_prev, x = x, z - a * obj.full_gradient(z)
@@ -197,7 +211,7 @@ def test_noise_scales_into_update(quadratic):
     sched = NoiseSchedule(b=np.array([b]), eps=np.array([0.0]))
     vals = np.empty(4000)
     for s in range(vals.size):
-        tr = run("dp-gd", obj, HyperParams(alpha=alpha, T=1, m=1), sched,
+        tr = run("dp-gd", obj, HyperParams(m=1, stages=((1, alpha, 0.0),)), sched,
                  PrivacyAccount(1.0, 1, 1, 1), RngStream(s), np.array([0.0]),
                  obj.fstar, record_iterates=True)
         vals[s] = tr.iterates[1, 0]
@@ -211,7 +225,7 @@ def test_noise_scales_into_update(quadratic):
 def test_run_deterministic_and_seed_sensitive(quadratic):
     T = 20
     obj, sched, _ = noisy_setup(quadratic, T)
-    hp = HyperParams(alpha=0.2, T=T, m=1, beta=0.3)
+    hp = HyperParams(m=1, stages=((T, 0.2, 0.3),))
     a = run("dp-hb", obj, hp, sched, PrivacyAccount(1.0, T, 1, 1), RngStream(21),
             np.array([1.0]), obj.fstar)
     b = run("dp-hb", obj, hp, sched, PrivacyAccount(1.0, T, 1, 1), RngStream(21),
@@ -226,7 +240,7 @@ def test_subopt_is_values_of_iterates():
     obj = LogisticObjective(generate_synthetic(4, 300, 5.0, 1), lam=0.05)
     T, m = 30, 60
     sched = uniform_scale(obj.sensitivity_bound(), 1.0, T, obj.n, m)
-    hp = HyperParams(alpha=0.5 / obj.L, T=T, m=m, beta=nesterov_momentum(0.5 / obj.L, obj.mu))
+    hp = HyperParams(m=m, stages=((T, 0.5 / obj.L, nesterov_momentum(0.5 / obj.L, obj.mu)),))
     fstar = 0.25
     traces = [
         run("dp-nag", obj, hp, sched, PrivacyAccount(1.0, T, obj.n, m), RngStream(8),
@@ -247,13 +261,13 @@ def test_accounting_in_traces():
     T, m = 25, 50
     sched = uniform_scale(obj.sensitivity_bound(), 0.8, T, obj.n, m)
     acct = PrivacyAccount(0.8, T, obj.n, m)
-    trace = run("dp-gd", obj, HyperParams(alpha=0.5 / obj.L, T=T, m=m), sched,
+    trace = run("dp-gd", obj, HyperParams(m=m, stages=((T, 0.5 / obj.L, 0.0),)), sched,
                 acct, RngStream(3), np.zeros(4), 0.0)
     assert np.all(np.diff(trace.eps_cum) > 0)
     assert trace.eps_cum[-1] == pytest.approx(0.8, abs=1e-9)
     assert acct.remaining == pytest.approx(0.0, abs=1e-9)
     assert trace.eps_cum[0] == 0.0
-    assert trace.T == T
+    assert len(trace.t) - 1 == T
 
 
 def test_budget_overrun_rejected(quadratic):
@@ -261,39 +275,42 @@ def test_budget_overrun_rejected(quadratic):
     obj, sched, _ = noisy_setup(quadratic, T)
     slim = PrivacyAccount(epsilon_total=0.04, T=T, n=1, m=1)  # needs 0.05
     with pytest.raises(ValueError):
-        run("dp-gd", obj, HyperParams(alpha=0.1, T=T, m=1), sched, slim,
+        run("dp-gd", obj, HyperParams(m=1, stages=((T, 0.1, 0.0),)), sched, slim,
             RngStream(0), np.array([0.0]), obj.fstar)
 
 
 def test_run_validation(quadratic):
     obj, sched, acct = noisy_setup(quadratic, 3)
-    hp = HyperParams(alpha=0.1, T=3, m=1)
+    hp = HyperParams(m=1, stages=((3, 0.1, 0.0),))
     # the smoothed heavy-ball form is a replay in conftest.py, not a method of run()
     for algo in ("dp-unknown", "dp-hb-avg"):
         with pytest.raises(ValueError, match="unknown algorithm"):
             run(algo, obj, hp, sched, acct, RngStream(0), np.array([0.0]), 0.0)
     with pytest.raises(ValueError):
-        run("dp-gd", obj, HyperParams(alpha=0.1, T=2, m=1), sched, acct,
+        run("dp-gd", obj, HyperParams(m=1, stages=((2, 0.1, 0.0),)), sched, acct,
             RngStream(0), np.array([0.0]), 0.0)
     with pytest.raises(ValueError):
         run("dp-gd", obj, hp, sched, acct, RngStream(0), np.zeros(2), 0.0)
     with pytest.raises(ValueError):
-        run("dp-gd", obj, HyperParams(alpha=0.1, T=3, m=2), sched, acct,
+        run("dp-gd", obj, HyperParams(m=2, stages=((3, 0.1, 0.0),)), sched, acct,
             RngStream(0), np.array([0.0]), 0.0)
-    with pytest.raises(ValueError):
-        run("dp-masg", obj, hp, sched, acct, RngStream(0), np.array([0.0]), 0.0)
+    # only dp-masg runs more than one stage
+    two = HyperParams(m=1, stages=((2, 0.1, 0.3), (1, 0.05, 0.3)))
+    for algo in ("dp-gd", "dp-hb", "dp-nag"):
+        with pytest.raises(ValueError, match="runs one stage"):
+            run(algo, obj, two, sched, acct, RngStream(0), np.array([0.0]), 0.0)
     with pytest.raises(ValueError):
         run("dp-gd", obj, hp, sched, acct, RngStream(0), np.array([0.0]), np.nan)
     with pytest.raises(ValueError):
-        HyperParams(alpha=0.1, T=3, m=1, beta=1.0)
+        HyperParams(m=1, stages=((3, 0.1, 1.0),))
     with pytest.raises(ValueError):
-        HyperParams(alpha=-0.1, T=3, m=1)
+        HyperParams(m=1, stages=((3, -0.1, 0.0),))
 
 
 def test_zero_iterations(quadratic):
     obj = quad1d(quadratic)
     for algo in ("dp-gd", "dp-hb", "dp-nag"):
-        trace = run(algo, obj, HyperParams(alpha=0.1, T=0, m=1), no_noise(0),
+        trace = run(algo, obj, HyperParams(m=1, stages=()), no_noise(0),
                     PrivacyAccount(1.0, 1, 1, 1), RngStream(0), np.array([2.0]),
                     obj.fstar)
         assert len(trace.t) == 1
@@ -307,9 +324,9 @@ def test_subsampling_draws_fresh_indices():
     sched = uniform_scale(obj.sensitivity_bound(), 1.0, T, obj.n, m)
     # same seed, same trace; the subsample stream is part of determinism
     kw = dict(schedule=sched, x0=np.zeros(3), fstar=0.0)
-    a = run("dp-gd", obj, HyperParams(alpha=0.1, T=T, m=m),
+    a = run("dp-gd", obj, HyperParams(m=m, stages=((T, 0.1, 0.0),)),
             account=PrivacyAccount(1.0, T, obj.n, m), rng=RngStream(9), **kw)
-    b = run("dp-gd", obj, HyperParams(alpha=0.1, T=T, m=m),
+    b = run("dp-gd", obj, HyperParams(m=m, stages=((T, 0.1, 0.0),)),
             account=PrivacyAccount(1.0, T, obj.n, m), rng=RngStream(9), **kw)
     assert np.array_equal(a.subopt, b.subopt)
 
@@ -317,7 +334,7 @@ def test_subsampling_draws_fresh_indices():
 def test_trace_csv_roundtrip(tmp_path, quadratic):
     T = 6
     obj, sched, _ = noisy_setup(quadratic, T)
-    trace = run("dp-hb", obj, HyperParams(alpha=0.2, T=T, m=1, beta=0.4), sched,
+    trace = run("dp-hb", obj, HyperParams(m=1, stages=((T, 0.2, 0.4),)), sched,
                 PrivacyAccount(1.0, T, 1, 1), RngStream(1), np.array([1.5]), obj.fstar)
     path = tmp_path / "tr.csv"
     trace.to_csv(path)
@@ -325,7 +342,7 @@ def test_trace_csv_roundtrip(tmp_path, quadratic):
     assert np.array_equal(back.subopt, trace.subopt)
     assert np.array_equal(back.eps_cum, trace.eps_cum)
     assert back.meta["algorithm"] == "dp-hb"
-    assert back.meta["beta"] == 0.4
+    assert back.meta["stages"] == [[T, 0.2, 0.4]]
     with pytest.raises(ValueError):
         Trace.from_csv(__file__)
 
@@ -392,10 +409,17 @@ def test_table_csv_bytes_match_csv_writer(tmp_path, kind):
 @pytest.mark.parametrize("T", [0, 3])
 @pytest.mark.parametrize("algo, beta", [("dp-gd", 0.0), ("dp-hb", 0.4)])
 def test_meta_beta_is_the_momentum_run_uses(T, algo, beta, quadratic):
+    # the sidecar records the plan run() followed, stage by stage
     obj, sched, acct = noisy_setup(quadratic, T)
-    trace = run(algo, obj, HyperParams(alpha=0.1, T=T, m=1, beta=0.4), sched, acct,
+    stages = ((T, 0.1, beta),) if T else ()
+    trace = run(algo, obj, HyperParams(m=1, stages=stages), sched, acct,
                 RngStream(0), np.array([1.0]), obj.fstar)
-    assert trace.meta["beta"] == beta
+    assert trace.meta["stages"] == ([[T, 0.1, beta]] if T else [])
+    # dp-gd refuses a momentum plan rather than run it as gd
+    if algo == "dp-gd" and T:
+        with pytest.raises(ValueError, match="dp-gd runs without momentum"):
+            run(algo, obj, HyperParams(m=1, stages=((T, 0.1, 0.4),)), sched,
+                PrivacyAccount(1.0, T, 1, 1), RngStream(0), np.array([1.0]), obj.fstar)
 
 
 def test_algorithm_registry():
