@@ -133,33 +133,21 @@ def masg_coefficients_for(mu: float, L: float, c: float, p: int, T: int) -> Boun
     return masg_coefficients(masg_stage_schedule(mu, L, c, p, T), mu, L)
 
 
-def bound_value(
-    coeffs: BoundCoefficients, b, d: int, E0: float, subsample_var: float = 0.0
-) -> float:
-    """Evaluate the generic bound at explicit per-iteration scales b."""
+def bound_value(coeffs: BoundCoefficients, b, d: int, E0: float) -> float:
+    """Evaluate the generic bound at explicit per-iteration scales b,
+    without the subsampling term, which is constant in b."""
     b = np.asarray(b, dtype=float)
     if b.shape != coeffs.a.shape:
         raise ValueError(f"need {coeffs.T} scales, got shape {b.shape}")
     _check_bound_args(d, E0)
-    if subsample_var < 0:
-        raise ValueError("subsample variance must be >= 0")
-    return float(coeffs.a0 * E0 + coeffs.a @ (b**2 * d + subsample_var / 2.0))
-
-
-def optimized_bound_value(
-    coeffs: BoundCoefficients, S1: float, n: int, epsilon: float, d: int, E0: float
-) -> float:
-    """Bound value at the optimal allocation (no subsampling):
-
-    a0 * E0 + d * S1^2 / (n eps)^2 * (sum_t a_t^(1/3))^3.
-    """
-    _check_budget_args(S1, n, epsilon)
-    _check_bound_args(d, E0)
-    return _optimized_bound(coeffs, E0, d * S1**2 / (n * epsilon) ** 2)
+    return float(coeffs.a0 * E0 + coeffs.a @ (b**2 * d))
 
 
 def _optimized_bound(coeffs: BoundCoefficients, E0: float, noise: float) -> float:
-    """optimized_bound_value without its checks; noise = d * S1^2 / (n eps)^2."""
+    """Bound value at the optimal allocation (no subsampling), unchecked:
+
+    a0 * E0 + noise * (sum_t a_t^(1/3))^3, with noise = d * S1^2 / (n eps)^2.
+    """
     cube = float(np.sum(coeffs.a ** (1.0 / 3.0))) ** 3
     return float(coeffs.a0 * E0 + noise * cube)
 

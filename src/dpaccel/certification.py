@@ -105,7 +105,7 @@ def noise_bound(S1: float, m: int, n: int, epsilon0: float, d: int):
     b = S1 / (m * epsilon0)
     sub = 0.0 if m == n else S1**2 / 4.0 * (1.0 / m) * (n - m) / (n - 1.0)
     lap = 2.0 * d * b**2
-    return NoiseBound(b=b, subsample_var=sub, laplace_var=lap, total=sub + lap, d=d)
+    return NoiseBound(b, sub, lap, sub + lap)
 
 
 @dataclass
@@ -114,7 +114,6 @@ class NoiseBound:
     subsample_var: float
     laplace_var: float
     total: float
-    d: int
 
 
 def certificate_matrix(
@@ -488,8 +487,8 @@ def quadratic_bound(
         raise ValueError(f"no contraction: rho = {report.rho} >= 1")
     if report.noise_gain is None:
         raise ValueError("noise floor undefined: some 2 + 2*beta - alpha*lam <= 0")
-    if not 0 <= sigma2 < np.inf or not 0 <= v0_norm < np.inf:
-        raise ValueError("sigma2 and v0_norm must be finite and >= 0")
+    if not all(0 <= x < np.inf for x in (sigma2, v0_norm, c_mult)):
+        raise ValueError("sigma2, v0_norm and c_mult must be finite and >= 0")
     t = np.asarray(t, dtype=float)
     V = v0_norm + sigma2 * report.alpha**2 / (1.0 - report.rho**2)
     out = V * (c_mult * t) ** 2 * report.rho ** (2.0 * t) + report.L * (

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +18,6 @@ from . import certification as cert
 from ._table import write_json, write_table
 from .harness import ExperimentConfig, allocate, comparison_table, run_grid, summarize
 from .objectives import generate_synthetic
-from .optimizers import Trace
 from .privacy_core import per_iteration_epsilon
 from .svgplot import write_line_svg
 
@@ -43,20 +41,13 @@ def _cmd_gen_data(args):
 
 def _add_run(sub):
     p = sub.add_parser("run", help="run the experiment grid from a JSON config")
-    p.add_argument("--config", required=True)
+    p.add_argument("--config", required=True, help="every grid setting, workers included")
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=None, help="threads (default: the config's)")
-    p.add_argument("--seed-base", type=int, default=None)
     p.set_defaults(func=_cmd_run)
 
 
 def _cmd_run(args):
-    overrides = {} if args.seed_base is None else {"seed_base": args.seed_base}
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    # replace validates the overrides like the rest of the config
-    config = replace(ExperimentConfig.from_json(args.config), **overrides)
-    summary = run_grid(config, args.out)
+    summary = run_grid(ExperimentConfig.from_json(args.config), args.out)
     print(comparison_table(summary))
     ref = summary["reference"]
     print(f"\nreference optimum gradient norm: {ref['grad_norm']:.3e}")
@@ -127,22 +118,26 @@ def _add_certify(sub):
 
 
 def _cmd_certify(args):
+    # every refusal comes before any output
+    if args.out_curve:
+        if any(v is None for v in (args.S1, args.epsilon, args.T, args.n, args.m)):
+            raise ValueError("--out-curve needs --S1 --epsilon --T --n --m")
+        if not 0 <= args.psi0 < np.inf:
+            raise ValueError(f"psi0 must be finite and >= 0, got {args.psi0}")
+        eps0 = per_iteration_epsilon(args.epsilon, args.T, args.n, args.m)
+        noise = cert.noise_bound(args.S1, args.m, args.n, eps0, args.d).total
     found = cert.search_certificate(args.alpha, args.beta, args.mu, args.L, tol=args.tol)
     if found is None:
         print("no certificate found on the default grid")
         return 1
+    if args.out_curve:
+        t = np.arange(args.T + 1)
+        vals = cert.eval_shb_bound(found, args.psi0, noise, args.alpha, args.d, args.L, t)
     payload = found.as_dict()
     print(json.dumps(payload, indent=2))
     if args.out_json:
         write_json(args.out_json, payload)
     if args.out_curve:
-        needed = (args.S1, args.epsilon, args.T, args.n, args.m)
-        if any(v is None for v in needed):
-            raise ValueError("--out-curve needs --S1 --epsilon --T --n --m")
-        eps0 = per_iteration_epsilon(args.epsilon, args.T, args.n, args.m)
-        nb = cert.noise_bound(args.S1, args.m, args.n, eps0, args.d)
-        t = np.arange(args.T + 1)
-        vals = cert.eval_shb_bound(found, args.psi0, nb.total, args.alpha, args.d, args.L, t)
         _write_bound_csv(args.out_curve, t, vals)
     return 0
 
@@ -162,14 +157,18 @@ def _add_analyze_quadratic(sub):
 
 
 def _cmd_analyze_quadratic(args):
+    # every refusal comes before any output
+    if args.out and (args.sigma2 is None or args.t_max is None):
+        raise ValueError("--out needs --sigma2 and --t-max")
+    if args.t_max is not None and args.t_max < 0:
+        raise ValueError(f"need --t-max >= 0, got {args.t_max}")
     eigs = np.array([float(s) for s in args.eigs.split(",") if s.strip()])
     report = cert.quadratic_rate(args.alpha, args.beta, eigs)
-    print(json.dumps(report.as_dict(), indent=2))
     if args.out:
-        if args.sigma2 is None or args.t_max is None:
-            raise ValueError("--out needs --sigma2 and --t-max")
         t = np.arange(args.t_max + 1)
         vals = cert.quadratic_bound(report, args.sigma2, t, args.v0, args.c_mult)
+    print(json.dumps(report.as_dict(), indent=2))
+    if args.out:
         _write_bound_csv(args.out, t, vals)
     return 0
 

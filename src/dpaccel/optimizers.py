@@ -122,7 +122,6 @@ class Trace:
     subopt: np.ndarray
     eps_cum: np.ndarray
     meta: dict = field(default_factory=dict)
-    iterates: np.ndarray | None = None
 
     def to_csv(self, path) -> None:
         """Write `t,subopt,eps_cum` rows plus a JSON sidecar with the metadata."""
@@ -144,7 +143,6 @@ def run(
     rng: RngStream,
     x0: np.ndarray,
     fstar: float,
-    record_iterates: bool = False,
 ) -> Trace:
     """Run one private optimization and return its trace.
 
@@ -153,8 +151,7 @@ def run(
     eps_t to the account, update, and store the iterate in a preallocated
     (T+1, d) array.  After the loop, subopt = obj.values(iterates) - fstar
     in one vectorised call; meta["wall_time"] includes it.  The trace has
-    T+1 rows; row 0 is the initial point with zero leak.  With
-    record_iterates the trace keeps that (T+1, d) array.
+    T+1 rows; row 0 is the initial point with zero leak.
 
     From obj, run reads n and d, calls minibatch_gradient(x, idx) once per
     iteration (idx=None when m = n), and calls values(X) once on the
@@ -239,10 +236,4 @@ def run(
         "fstar": fstar,
         "wall_time": time.perf_counter() - start,
     }
-    return Trace(
-        t=np.arange(T + 1),
-        subopt=subopt,
-        eps_cum=eps_cum,
-        meta=meta,
-        iterates=iterates if record_iterates else None,
-    )
+    return Trace(t=np.arange(T + 1), subopt=subopt, eps_cum=eps_cum, meta=meta)

@@ -45,11 +45,11 @@ class RngStream:
     generator at that counter.  A stream belongs to one thread.
     """
 
-    def __init__(self, seed: int, counter: int = 0):
+    def __init__(self, seed: int):
         if not isinstance(seed, (int, np.integer)):
             raise ValueError(f"seed must be an integer, got {type(seed).__name__}")
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-        self.counter = int(counter)
+        self.counter = 0
         self._bitgen = np.random.Philox(key=self.seed)
         self._gen = np.random.Generator(self._bitgen)
         self._block = np.zeros(4, dtype=np.uint64)
@@ -190,9 +190,9 @@ class NoiseSchedule:
         write_table(path, _SCHEDULE_HEADER, (np.arange(1, len(self.b) + 1), self.b, self.eps))
 
     @classmethod
-    def from_csv(cls, path, provenance: str = "") -> "NoiseSchedule":
+    def from_csv(cls, path) -> "NoiseSchedule":
         _, b, eps = read_table(path, "schedule", _SCHEDULE_HEADER)
-        return cls(b=b, eps=eps, provenance=provenance)
+        return cls(b=b, eps=eps)
 
 
 def uniform_scale(S1: float, epsilon: float, T: int, n: int, m: int) -> NoiseSchedule:

@@ -6,7 +6,8 @@ deadline (a slow or busy host does not fail a test) and a fixed number of
 examples, so that the suite is reproducible and its duration bounded.
 
 The smoothed_heavy_ball fixture is an independent replay of the paper's
-smoothed heavy-ball form, which dp-hb reparametrises.  The quadratic fixture
+smoothed heavy-ball form, which dp-hb reparametrises.  The recorded_run
+fixture is optimizers.run that also returns the run's iterates.  The quadratic fixture
 builds F(x) = 0.5 x^T Q x + q^T x as a one-record objective, for tests whose
 reference is a closed-form minimizer or an exact rate.
 """
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from dpaccel.optimizers import run
 from dpaccel.privacy_core import RngStream, laplace_sample
 
 settings.register_profile("dpaccel", derandomize=True, deadline=None, max_examples=40)
@@ -48,6 +50,37 @@ def _smoothed_heavy_ball(obj, alpha, beta, m, schedule, seed, x0):
 @pytest.fixture
 def smoothed_heavy_ball():
     return _smoothed_heavy_ball
+
+
+class _IterateRecorder:
+    """An objective that keeps a copy of the array its values() is given.
+
+    run() passes its whole (T+1, d) iterate array to values() once, after
+    the loop; every other attribute is the wrapped objective's.
+    """
+
+    def __init__(self, obj):
+        self._obj = obj
+        self.iterates = None
+
+    def __getattr__(self, attr):
+        return getattr(self._obj, attr)
+
+    def values(self, X):
+        self.iterates = np.array(X)
+        return self._obj.values(X)
+
+
+def _recorded_run(algorithm, obj, *args, **kwargs):
+    """run(algorithm, obj, ...) and the (T+1, d) iterates it evaluated."""
+    recorder = _IterateRecorder(obj)
+    trace = run(algorithm, recorder, *args, **kwargs)
+    return trace, recorder.iterates
+
+
+@pytest.fixture
+def recorded_run():
+    return _recorded_run
 
 
 class _Quadratic:

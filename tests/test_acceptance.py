@@ -22,11 +22,11 @@ import numpy as np
 import pytest
 
 from dpaccel.budget_allocator import (
+    _optimized_bound,
     bound_value,
     masg_coefficients_for,
     nag_coefficients,
     optimal_schedule,
-    optimized_bound_value,
     rescale_for_subsampling,
 )
 from dpaccel.certification import (
@@ -35,7 +35,7 @@ from dpaccel.certification import (
     quadratic_rate,
     search_certificate,
 )
-from dpaccel.harness import GRID_ALGORITHMS, ExperimentConfig, run_grid, summarize
+from dpaccel.harness import GRID_ALGORITHMS, ExperimentConfig, run_grid
 from dpaccel.optimizers import (
     HyperParams,
     masg_stage_schedule,
@@ -223,7 +223,7 @@ def test_acceptance_04_optimized_schedule_beats_uniform(desk_grid):
         ):
             uni = uniform_scale(S1, eps, len(coeffs.a), n, n)
             bound_uni = bound_value(coeffs, uni.b, d, E0)
-            bound_opt = optimized_bound_value(coeffs, S1, n, eps, d, E0)
+            bound_opt = _optimized_bound(coeffs, E0, d * S1**2 / (n * eps) ** 2)
             assert bound_opt <= bound_uni * (1 + 1e-12), (
                 f"optimized bound {bound_opt:.6g} > uniform {bound_uni:.6g} "
                 f"(kind={kind} T={T})"
@@ -426,7 +426,7 @@ def test_acceptance_09_laplace_sampler_variance():
         )
 
 
-def test_acceptance_10_stage_arithmetic_and_single_stage_equivalence(quadratic):
+def test_acceptance_10_stage_arithmetic_and_single_stage_equivalence(quadratic, recorded_run):
     # conditioning 20, doubling target 2^(1+2): unit = ceil(sqrt(20) ln 8) = 10,
     # stage lengths 10/40/80, stepsizes c/L, c/16L, c/64L
     assert int(np.ceil(np.sqrt(20.0) * np.log(8.0))) == 10
@@ -448,17 +448,17 @@ def test_acceptance_10_stage_arithmetic_and_single_stage_equivalence(quadratic):
     x0 = np.array([3.0])
     hp_m = HyperParams(m=1, stages=single)
     hp_n = HyperParams(m=1, stages=((T, 0.7, nesterov_momentum(0.7, 0.05)),))
-    a = run("dp-masg", obj, hp_m, sched,
-            PrivacyAccount(float(eps.sum()) + 1e-12, T, 1, 1), RngStream(5),
-            x0, obj.fstar, record_iterates=True)
-    b = run("dp-nag", obj, hp_n, sched,
-            PrivacyAccount(float(eps.sum()) + 1e-12, T, 1, 1), RngStream(5),
-            x0, obj.fstar, record_iterates=True)
-    assert np.array_equal(a.iterates, b.iterates)
+    a, a_iterates = recorded_run("dp-masg", obj, hp_m, sched,
+                                 PrivacyAccount(float(eps.sum()) + 1e-12, T, 1, 1),
+                                 RngStream(5), x0, obj.fstar)
+    b, b_iterates = recorded_run("dp-nag", obj, hp_n, sched,
+                                 PrivacyAccount(float(eps.sum()) + 1e-12, T, 1, 1),
+                                 RngStream(5), x0, obj.fstar)
+    assert np.array_equal(a_iterates, b_iterates)
     assert np.array_equal(a.subopt, b.subopt)
 
 
-def test_acceptance_11_momentum_form_equivalence(smoothed_heavy_ball, quadratic):
+def test_acceptance_11_momentum_form_equivalence(smoothed_heavy_ball, quadratic, recorded_run):
     # dp-hb (the iterate-difference form) and an independent replay of the
     # smoothed-average form agree to 1e-10 over 100 steps for random
     # (alpha, beta) and shared noise
@@ -474,9 +474,9 @@ def test_acceptance_11_momentum_form_equivalence(smoothed_heavy_ball, quadratic)
         sched = NoiseSchedule(b=np.full(T, 0.3), eps=eps, provenance="test")
         x0 = rng.normal(size=d)
         hp = HyperParams(m=1, stages=((T, alpha, beta),))
-        a = run("dp-hb", obj, hp, sched,
-                PrivacyAccount(2.0, T, 1, 1), RngStream(1100 + trial),
-                x0, obj.fstar, record_iterates=True)
+        _, a = recorded_run("dp-hb", obj, hp, sched,
+                            PrivacyAccount(2.0, T, 1, 1), RngStream(1100 + trial),
+                            x0, obj.fstar)
         b = smoothed_heavy_ball(obj, alpha, beta, 1, sched, 1100 + trial, x0)
-        gap = float(np.max(np.abs(a.iterates - b)))
+        gap = float(np.max(np.abs(a - b)))
         assert gap <= 1e-10, f"trial {trial}: forms diverge by {gap:.3e}"

@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 from dpaccel import budget_allocator
 from dpaccel.budget_allocator import (
     BoundCoefficients,
+    _optimized_bound,
     bound_value,
     masg_coefficients,
     masg_coefficients_for,
     nag_coefficients,
     optimal_schedule,
-    optimized_bound_value,
     rescale_for_subsampling,
     select_horizon,
 )
@@ -29,10 +29,15 @@ def stage_of(stages, i):
     raise ValueError(f"iteration {i} outside 1..{end}")
 
 
+def optimized_bound(coeffs, S1, n, eps, d, E0):
+    """The bound at the optimal allocation, the function select_horizon evaluates."""
+    return _optimized_bound(coeffs, E0, d * S1**2 / (n * eps) ** 2)
+
+
 def reference_horizon(builder, E0, S1, n, eps, d, T_max):
     """The brute-force horizon scan: evaluate every T' = 1..T_max and keep
     the first minimum."""
-    bounds = [optimized_bound_value(builder(Tp), S1, n, eps, d, E0) for Tp in range(1, T_max + 1)]
+    bounds = [optimized_bound(builder(Tp), S1, n, eps, d, E0) for Tp in range(1, T_max + 1)]
     best = int(np.argmin(bounds))
     return best + 1, bounds[best]
 
@@ -274,13 +279,20 @@ def test_optimal_schedule_satisfies_kkt(a, S1, n, eps):
 
 
 def test_optimal_beats_random_feasible():
+    co = BoundCoefficients(a0=0.5, a=np.array([1.0, 3.0]))
+    b = np.array([2.0, 1.0])
+    assert bound_value(co, b, 2, 1.0) == pytest.approx(0.5 + 1 * (4 * 2) + 3 * (1 * 2))
+    with pytest.raises(ValueError):
+        bound_value(co, np.ones(3), 2, 1.0)
+    with pytest.raises(ValueError):
+        bound_value(co, b, 2, -1.0)
     rng = np.random.default_rng(2)
     S1, n, eps, d, E0 = 4.0, 1000, 0.8, 3, 2.0
     for T in (2, 5, 50):
         co = nag_coefficients(0.05, 1.0, 1.0, T)
         sched = optimal_schedule(co, S1, n, eps)
         best = bound_value(co, sched.b, d, E0)
-        assert best == pytest.approx(optimized_bound_value(co, S1, n, eps, d, E0),
+        assert best == pytest.approx(optimized_bound(co, S1, n, eps, d, E0),
                                      rel=1e-12)
         for _ in range(1000):
             b = random_feasible_scales(rng, T, S1, n, eps)
@@ -328,19 +340,6 @@ def test_optimal_schedule_rejects_zero_weights():
         optimal_schedule(co, 1.0, 10, 1.0)
     with pytest.raises(ValueError):
         optimal_schedule(BoundCoefficients(a0=1.0, a=np.ones(2)), -1.0, 10, 1.0)
-
-
-def test_bound_value_includes_subsample_variance():
-    co = BoundCoefficients(a0=0.5, a=np.array([1.0, 3.0]))
-    b = np.array([2.0, 1.0])
-    base = bound_value(co, b, 2, 1.0)
-    assert base == pytest.approx(0.5 + 1 * (4 * 2) + 3 * (1 * 2))
-    with_var = bound_value(co, b, 2, 1.0, subsample_var=0.4)
-    assert with_var == pytest.approx(base + (1.0 + 3.0) * 0.2)
-    with pytest.raises(ValueError):
-        bound_value(co, np.ones(3), 2, 1.0)
-    with pytest.raises(ValueError):
-        bound_value(co, b, 2, -1.0)
 
 
 def test_rescale_noop_without_subsampling():
@@ -411,7 +410,7 @@ def test_select_horizon_limits():
     # tiny initial error: pure noise accumulation, stop immediately
     T, bound = select_horizon(builder, 1e-12, S1, n, 1.0, d, 50)
     assert T == 1
-    assert bound == pytest.approx(optimized_bound_value(builder(1), S1, n, 1.0, d, 1e-12))
+    assert bound == pytest.approx(optimized_bound(builder(1), S1, n, 1.0, d, 1e-12))
     # huge dataset: noise negligible, run as long as allowed
     T2, _ = select_horizon(builder, 10.0, S1, 10**9, 1.0, d, 50)
     assert T2 == 50
@@ -419,7 +418,7 @@ def test_select_horizon_limits():
     T3, b3 = select_horizon(builder, 10.0, 40.0, 10**4, 1.0, 20, 1000)
     assert 1 < T3 < 1000
     for Tp in (T3 - 1, T3 + 1):
-        assert optimized_bound_value(builder(Tp), 40.0, 10**4, 1.0, 20, 10.0) >= b3
+        assert optimized_bound(builder(Tp), 40.0, 10**4, 1.0, 20, 10.0) >= b3
 
 
 def test_select_horizon_tie_prefers_smaller():
@@ -436,8 +435,8 @@ def test_select_horizon_tie_prefers_smaller():
     T, bound = select_horizon(builder, 1e300, 1.0, 100, 1.0, 1, 399)
     assert (T, bound) == reference_horizon(builder, 1e300, 1.0, 100, 1.0, 1, 399)
     assert builder(T).a0 < np.finfo(float).tiny
-    assert optimized_bound_value(builder(T + 1), 1.0, 100, 1.0, 1, 1e300) == bound
-    assert optimized_bound_value(builder(T - 1), 1.0, 100, 1.0, 1, 1e300) > bound
+    assert optimized_bound(builder(T + 1), 1.0, 100, 1.0, 1, 1e300) == bound
+    assert optimized_bound(builder(T - 1), 1.0, 100, 1.0, 1, 1e300) > bound
 
 
 def test_select_horizon_needs_stage_factors():

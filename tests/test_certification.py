@@ -672,6 +672,9 @@ def test_quadratic_bound_guards():
             quadratic_bound(rep, bad, 1, 1.0)
         with pytest.raises(ValueError, match="finite"):
             quadratic_bound(rep, 0.1, 1, bad)
+    for bad in (np.nan, np.inf, -2.0):
+        with pytest.raises(ValueError, match="c_mult must be finite"):
+            quadratic_bound(rep, 0.1, 1, 1.0, c_mult=bad)
 
 
 def test_rate_momentum_sweep_shape():

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import os
+import shlex
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -16,7 +17,7 @@ import dpaccel
 from dpaccel import budget_allocator as ba
 from dpaccel import harness
 from dpaccel._table import write_json
-from dpaccel.budget_allocator import masg_coefficients_for, optimized_bound_value
+from dpaccel.budget_allocator import _optimized_bound, masg_coefficients_for
 from dpaccel.cli import main
 from dpaccel.harness import (
     GRID_ALGORITHMS,
@@ -566,12 +567,15 @@ def test_write_line_svg_rejects_empty(tmp_path):
 
 
 def _assert_refused(capsys, argv, message):
-    """main refuses argv as argparse does: status 2 and one error line."""
+    """main refuses argv as argparse does: status 2 and one error line,
+    before it prints anything to stdout."""
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
     assert len(errors) == 1 and message in errors[0]
 
 
@@ -618,8 +622,8 @@ def test_cli_allocate_masg_opt_subsampled(tmp_path, capsys):
     printed = capsys.readouterr().out
     T = int(printed.split("selected horizon T=")[1].split()[0])
     # the brute-force scan over every horizon
-    bounds = [optimized_bound_value(masg_coefficients_for(0.05, 1.0, 1.0, 1, Tp),
-                                    4.0, 1000, 1.0, 3, 50.0) for Tp in range(1, 301)]
+    bounds = [_optimized_bound(masg_coefficients_for(0.05, 1.0, 1.0, 1, Tp), 50.0,
+                               3 * 4.0**2 / (1000 * 1.0) ** 2) for Tp in range(1, 301)]
     assert T == int(np.argmin(bounds)) + 1
     assert 1 < T < 300
     sched = NoiseSchedule.from_csv(out)
@@ -703,14 +707,38 @@ def test_readme_library_quickstart_runs(capsys):
     assert capsys.readouterr().out == f"{trace.subopt[-1]} {account.spent}\n"
 
 
+def test_readme_cli_quickstart_runs(tmp_path, monkeypatch, capsys):
+    # every dpaccel line of README's shell block runs as written, in a
+    # directory that holds README's minimal config.json
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    shell = readme.split("## CLI quickstart", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    config = readme.split("A minimal `config.json`", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(config)
+    commands = [shlex.split(line) for line in shell.replace("\\\n", " ").splitlines()
+                if line.startswith("dpaccel ")]
+    assert [argv[1] for argv in commands] == [
+        "gen-data", "allocate", "allocate", "certify", "analyze-quadratic", "run", "summarize"]
+    capsys.readouterr()
+    printed = []
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+        printed.append(capsys.readouterr().out)
+    # the horizon the first allocate line's comment promises
+    assert "selected horizon T=142 " in printed[1]
+    for name in ("data.csv", "schedule.csv", "cert.json", "envelope.csv", "table.csv",
+                 "results/summary.json", "summary.json"):
+        assert (tmp_path / name).is_file(), name
+    assert list((tmp_path / "curves").glob("*.svg"))
+
+
 def test_cli_certify(tmp_path, capsys):
     out_json = tmp_path / "cert.json"
     out_curve = tmp_path / "bound.csv"
     argv = ["certify", "--alpha", "1.0", "--beta", "0.0", "--mu", "0.5", "--L", "1.0",
-            "--out-json", str(out_json),
-            "--epsilon", "1.0", "--T", "20", "--n", "1000", "--m", "1000",
+            "--out-json", str(out_json), "--epsilon", "1.0", "--n", "1000",
             "--out-curve", str(out_curve)]
-    rc = main(argv + ["--S1", "4.0"])
+    rc = main(argv + ["--S1", "4.0", "--T", "20", "--m", "1000"])
     assert rc == 0
     with open(out_json) as fh:
         payload = json.load(fh)
@@ -718,25 +746,50 @@ def test_cli_certify(tmp_path, capsys):
     lines = out_curve.read_text().strip().splitlines()
     assert lines[0] == "t,bound"
     assert len(lines) == 22  # header + t = 0..20
-    _assert_refused(capsys, argv + ["--S1", "nan"], "need finite S1 > 0")
+    out_json.unlink()
+    out_curve.unlink()
+    # every refusal comes before the certificate is printed or a file written
+    for bad, message in (
+        (["--S1", "nan", "--T", "20", "--m", "1000"], "need finite S1 > 0"),
+        (["--S1", "4.0", "--T", "20", "--m", "1000", "--psi0", "nan"], "psi0"),
+        (["--S1", "4.0", "--T", "20"], "--out-curve needs --S1 --epsilon --T --n --m"),
+        (["--S1", "4.0", "--T", "-1", "--m", "1000"], "need T >= 1, got -1"),
+    ):
+        _assert_refused(capsys, argv + bad, message)
+        assert not out_json.exists() and not out_curve.exists()
 
 
-def test_cli_certify_infeasible_exit_code():
-    assert main(["certify", "--alpha", "10.0", "--beta", "0.999",
-                 "--mu", "0.5", "--L", "1.0"]) == 1
+def test_cli_certify_infeasible_exit_code(tmp_path, capsys):
+    argv = ["certify", "--alpha", "10.0", "--beta", "0.999", "--mu", "0.5", "--L", "1.0"]
+    assert main(argv) == 1
+    # a bad curve input is refused even where no certificate exists
+    curve = ["--S1", "1", "--epsilon", "1", "--T", "5", "--n", "100", "--m", "100",
+             "--out-curve", str(tmp_path / "e.csv")]
+    _assert_refused(capsys, argv + curve + ["--psi0", "nan"], "psi0 must be finite and >= 0")
 
 
 def test_cli_analyze_quadratic(tmp_path, capsys):
     out = tmp_path / "bound.csv"
-    argv = ["analyze-quadratic", "--beta", "0.1",
-            "--eigs", "0.5,1.0", "--sigma2", "0.01", "--t-max", "15",
-            "--out", str(out)]
-    rc = main(argv + ["--alpha", "0.5"])
+    argv = ["analyze-quadratic", "--beta", "0.1", "--eigs", "0.5,1.0", "--out", str(out)]
+    rc = main(argv + ["--alpha", "0.5", "--sigma2", "0.01", "--t-max", "15"])
     assert rc == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "t,bound"
     assert len(lines) == 17
-    _assert_refused(capsys, argv + ["--alpha", "nan"], "stepsize must be finite and positive")
+    out.unlink()
+    # every refusal comes before the report is printed or the CSV written
+    for bad, message in (
+        (["--alpha", "nan", "--sigma2", "0.01", "--t-max", "15"],
+         "stepsize must be finite and positive"),
+        (["--alpha", "0.5", "--sigma2", "0.01", "--t-max", "15", "--c-mult", "nan"],
+         "c_mult must be finite and >= 0"),
+        (["--alpha", "0.5", "--sigma2", "0.01", "--t-max", "15", "--c-mult", "-2"],
+         "c_mult must be finite and >= 0"),
+        (["--alpha", "0.5", "--sigma2", "0.01", "--t-max", "-3"], "need --t-max >= 0, got -3"),
+        (["--alpha", "0.5", "--t-max", "15"], "--out needs --sigma2 and --t-max"),
+    ):
+        _assert_refused(capsys, argv + bad, message)
+        assert not out.exists()
 
 
 def test_cli_run_and_summarize(tmp_path):
@@ -761,34 +814,29 @@ def test_cli_run_and_summarize(tmp_path):
         ET.parse(p)
 
 
-def test_cli_run_workers_sets_the_config(tmp_path, capsys):
+def test_cli_run_reads_every_setting_from_the_config(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
-    write_json(cfg_path, dataclasses.asdict(
-        tiny_config(algorithms=("dp-gd",), m_values=(40,), T_values=(5,))))
+    config = dataclasses.asdict(
+        tiny_config(algorithms=("dp-gd",), m_values=(40,), T_values=(5,)))
+    write_json(cfg_path, {**config, "workers": 2, "seed_base": 50})
     args = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
-    assert main(args + ["--workers", "2"]) == 0
+    assert main(args) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["config"] == json.loads(cfg_path.read_text())
     assert summary["config"]["workers"] == 2
-    _assert_refused(capsys, args + ["--workers", "0"], "workers")
+    seeds = sorted(p.stem.rsplit("_", 1)[1] for p in (tmp_path / "out" / "traces").glob("*.csv"))
+    assert seeds == ["50", "51"]
+    # the config file is the one way to set them
+    _assert_refused(capsys, args + ["--workers", "2"], "unrecognized arguments: --workers 2")
+    _assert_refused(capsys, args + ["--seed-base", "7"], "unrecognized arguments: --seed-base 7")
+    cfg_path.write_text(json.dumps({**config, "workers": 0}))
+    _assert_refused(capsys, args, "workers")
     # a missing or malformed config file: one error line, not a traceback
     missing = tmp_path / "missing.json"
     _assert_refused(capsys, ["run", "--config", str(missing), "--out", str(tmp_path / "o")],
                     f"No such file or directory: '{missing}'")
     cfg_path.write_text(json.dumps({"u_max": "20"}))
     _assert_refused(capsys, args, "u_max must be a number, got '20'")
-
-
-def test_cli_run_seed_base_sets_the_config(tmp_path):
-    cfg_path = tmp_path / "config.json"
-    write_json(cfg_path, dataclasses.asdict(
-        tiny_config(algorithms=("dp-gd",), m_values=(40,), T_values=(5,))))
-    args = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
-    assert main(args + ["--seed-base", "50"]) == 0
-    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-    # the override sets seed_base and nothing else
-    assert summary["config"] == {**json.loads(cfg_path.read_text()), "seed_base": 50}
-    seeds = sorted(p.stem.rsplit("_", 1)[1] for p in (tmp_path / "out" / "traces").glob("*.csv"))
-    assert seeds == ["50", "51"]
 
 
 def test_cli_summarize_trace_outside_grid(tmp_path, capsys):

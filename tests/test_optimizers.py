@@ -49,61 +49,58 @@ def test_momentum_formulas():
         polyak_momentum(2.0, 1.0)
 
 
-def test_gd_single_step(quadratic):
+def test_gd_single_step(quadratic, recorded_run):
     obj, _, _ = noisy_setup(quadratic, 1)
     hp = HyperParams(m=1, stages=((1, 0.5, 0.0),))
-    trace = run("dp-gd", obj, hp, no_noise(1),
-                PrivacyAccount(1.0, 1, 1, 1), RngStream(0), np.array([1.0]),
-                obj.fstar, record_iterates=True)
-    assert trace.iterates[1] == pytest.approx(0.5)
+    trace, iterates = recorded_run("dp-gd", obj, hp, no_noise(1),
+                                   PrivacyAccount(1.0, 1, 1, 1), RngStream(0),
+                                   np.array([1.0]), obj.fstar)
+    assert iterates[1] == pytest.approx(0.5)
     assert trace.subopt[1] == pytest.approx(0.5 * 0.25)
 
 
-def test_gd_contracts_per_step(quadratic):
+def test_gd_contracts_per_step(quadratic, recorded_run):
     Q = np.diag([0.5, 1.0, 1.5])
     obj = quadratic(Q)
     hp = HyperParams(m=1, stages=((30, 1 / obj.L, 0.0),))
-    trace = run("dp-gd", obj, hp, no_noise(30), PrivacyAccount(1.0, 30, 1, 1),
-                RngStream(0), np.array([2.0, -1.0, 0.5]), obj.fstar,
-                record_iterates=True)
+    _, iterates = recorded_run("dp-gd", obj, hp, no_noise(30), PrivacyAccount(1.0, 30, 1, 1),
+                               RngStream(0), np.array([2.0, -1.0, 0.5]), obj.fstar)
     rate = 1 - obj.mu / obj.L
-    dist = np.linalg.norm(trace.iterates - obj.minimizer, axis=1)
+    dist = np.linalg.norm(iterates - obj.minimizer, axis=1)
     assert np.all(dist[1:] <= rate * dist[:-1] + 1e-15)
 
 
-def test_hb_hand_recursion(quadratic):
+def test_hb_hand_recursion(quadratic, recorded_run):
     obj = quad1d(quadratic)
     hp = HyperParams(m=1, stages=((3, 1.0, 0.5),))
-    trace = run("dp-hb", obj, hp, no_noise(3), PrivacyAccount(1.0, 3, 1, 1),
-                RngStream(0), np.array([1.0]), obj.fstar, record_iterates=True)
-    assert trace.iterates[:, 0] == pytest.approx([1.0, 0.0, -0.5, -0.25], abs=1e-15)
+    _, iterates = recorded_run("dp-hb", obj, hp, no_noise(3), PrivacyAccount(1.0, 3, 1, 1),
+                               RngStream(0), np.array([1.0]), obj.fstar)
+    assert iterates[:, 0] == pytest.approx([1.0, 0.0, -0.5, -0.25], abs=1e-15)
 
 
-def test_nag_hand_recursion(quadratic):
+def test_nag_hand_recursion(quadratic, recorded_run):
     # alpha=1 on unit quadratic solves in one step; momentum keeps it there
     obj = quad1d(quadratic)
     hp = HyperParams(m=1, stages=((3, 1.0, 1 / 3),))
-    trace = run("dp-nag", obj, hp, no_noise(3), PrivacyAccount(1.0, 3, 1, 1),
-                RngStream(0), np.array([1.0]), obj.fstar, record_iterates=True)
-    assert trace.iterates[:, 0] == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-15)
+    _, iterates = recorded_run("dp-nag", obj, hp, no_noise(3), PrivacyAccount(1.0, 3, 1, 1),
+                               RngStream(0), np.array([1.0]), obj.fstar)
+    assert iterates[:, 0] == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-15)
 
 
-def test_beta_zero_reductions(quadratic):
+def test_beta_zero_reductions(quadratic, recorded_run):
     # with beta=0, hb and nag both replay gd's trajectory bitwise
     T = 50
     obj, sched, _ = noisy_setup(quadratic, T)
     x0 = np.array([2.0])
-    ref = run("dp-gd", obj, HyperParams(m=1, stages=((T, 0.1, 0.0),)), sched,
-              PrivacyAccount(1.0, T, 1, 1), RngStream(11), x0, obj.fstar,
-              record_iterates=True)
+    _, ref = recorded_run("dp-gd", obj, HyperParams(m=1, stages=((T, 0.1, 0.0),)), sched,
+                          PrivacyAccount(1.0, T, 1, 1), RngStream(11), x0, obj.fstar)
     for algo in ("dp-hb", "dp-nag"):
-        tr = run(algo, obj, HyperParams(m=1, stages=((T, 0.1, 0.0),)), sched,
-                 PrivacyAccount(1.0, T, 1, 1), RngStream(11), x0, obj.fstar,
-                 record_iterates=True)
-        assert np.array_equal(tr.iterates, ref.iterates), algo
+        _, got = recorded_run(algo, obj, HyperParams(m=1, stages=((T, 0.1, 0.0),)), sched,
+                              PrivacyAccount(1.0, T, 1, 1), RngStream(11), x0, obj.fstar)
+        assert np.array_equal(got, ref), algo
 
 
-def test_hb_smoothed_form_equivalence(smoothed_heavy_ball, quadratic):
+def test_hb_smoothed_form_equivalence(smoothed_heavy_ball, quadratic, recorded_run):
     # dp-hb and an independent replay of the smoothed heavy-ball form agree
     # to 1e-10 over 100 steps, shared noise
     rng = np.random.default_rng(0)
@@ -113,11 +110,10 @@ def test_hb_smoothed_form_equivalence(smoothed_heavy_ball, quadratic):
         T = 100
         obj, sched, _ = noisy_setup(quadratic, T, b=0.3)
         x0 = rng.normal(size=1)
-        a = run("dp-hb", obj, HyperParams(m=1, stages=((T, alpha, beta),)), sched,
-                PrivacyAccount(1.0, T, 1, 1), RngStream(trial), x0, obj.fstar,
-                record_iterates=True)
+        _, a = recorded_run("dp-hb", obj, HyperParams(m=1, stages=((T, alpha, beta),)), sched,
+                            PrivacyAccount(1.0, T, 1, 1), RngStream(trial), x0, obj.fstar)
         b = smoothed_heavy_ball(obj, alpha, beta, 1, sched, trial, x0)
-        assert np.max(np.abs(a.iterates - b)) < 1e-10
+        assert np.max(np.abs(a - b)) < 1e-10
 
 
 def test_masg_stage_arithmetic():
@@ -163,21 +159,21 @@ def test_stage_schedule_validation():
     assert HyperParams(m=1, stages=()).T == 0
 
 
-def test_masg_single_stage_is_nag_bitwise(quadratic):
+def test_masg_single_stage_is_nag_bitwise(quadratic, recorded_run):
     T = 40
     obj, sched, _ = noisy_setup(quadratic, T, b=0.8)
     x0 = np.array([3.0])
     alpha = 0.7
     hp = HyperParams(m=1, stages=((T, alpha, nesterov_momentum(alpha, obj.mu)),))
-    a = run("dp-masg", obj, hp, sched, PrivacyAccount(1.0, T, 1, 1),
-            RngStream(5), x0, obj.fstar, record_iterates=True)
-    b = run("dp-nag", obj, hp, sched, PrivacyAccount(1.0, T, 1, 1),
-            RngStream(5), x0, obj.fstar, record_iterates=True)
-    assert np.array_equal(a.iterates, b.iterates)
+    a, a_iterates = recorded_run("dp-masg", obj, hp, sched, PrivacyAccount(1.0, T, 1, 1),
+                                 RngStream(5), x0, obj.fstar)
+    b, b_iterates = recorded_run("dp-nag", obj, hp, sched, PrivacyAccount(1.0, T, 1, 1),
+                                 RngStream(5), x0, obj.fstar)
+    assert np.array_equal(a_iterates, b_iterates)
     assert np.array_equal(a.subopt, b.subopt)
 
 
-def test_masg_momentum_tracks_stage_stepsize(quadratic):
+def test_masg_momentum_tracks_stage_stepsize(quadratic, recorded_run):
     # independent replay: per-iteration (alpha, beta) from the stage plan,
     # momentum restarted (x_prev = x) at each stage's first iteration.  An
     # earlier version carried the momentum across boundaries unchanged; that
@@ -187,8 +183,9 @@ def test_masg_momentum_tracks_stage_stepsize(quadratic):
     stages = masg_stage_schedule(obj.mu, obj.L, 1.0, 1, 60)
     assert len(stages) >= 3
     hp = HyperParams(m=1, stages=stages)
-    trace = run("dp-masg", obj, hp, no_noise(60), PrivacyAccount(1.0, 60, 1, 1),
-                RngStream(2), np.array([1.0, 1.0]), obj.fstar, record_iterates=True)
+    trace, iterates = recorded_run("dp-masg", obj, hp, no_noise(60),
+                                   PrivacyAccount(1.0, 60, 1, 1), RngStream(2),
+                                   np.array([1.0, 1.0]), obj.fstar)
     x_prev = x = np.array([1.0, 1.0])
     stage = [k for k, (length, _, _) in enumerate(stages) for _ in range(length)]
     for t in range(60):
@@ -199,22 +196,22 @@ def test_masg_momentum_tracks_stage_stepsize(quadratic):
         beta = (1 - np.sqrt(a * obj.mu)) / (1 + np.sqrt(a * obj.mu))
         z = (1 + beta) * x - beta * x_prev
         x_prev, x = x, z - a * obj.full_gradient(z)
-        assert np.array_equal(trace.iterates[t + 1], x)
+        assert np.array_equal(iterates[t + 1], x)
     # noiseless multi-stage run still makes progress
     assert trace.subopt[-1] < 1e-2 * trace.subopt[0]
 
 
-def test_noise_scales_into_update(quadratic):
+def test_noise_scales_into_update(quadratic, recorded_run):
     # one gd step from the minimum: Var(x_1) = alpha^2 * 2 b^2
     alpha, b = 0.3, 0.7
     obj = quad1d(quadratic)
     sched = NoiseSchedule(b=np.array([b]), eps=np.array([0.0]))
     vals = np.empty(4000)
     for s in range(vals.size):
-        tr = run("dp-gd", obj, HyperParams(m=1, stages=((1, alpha, 0.0),)), sched,
-                 PrivacyAccount(1.0, 1, 1, 1), RngStream(s), np.array([0.0]),
-                 obj.fstar, record_iterates=True)
-        vals[s] = tr.iterates[1, 0]
+        _, iterates = recorded_run("dp-gd", obj, HyperParams(m=1, stages=((1, alpha, 0.0),)),
+                                   sched, PrivacyAccount(1.0, 1, 1, 1), RngStream(s),
+                                   np.array([0.0]), obj.fstar)
+        vals[s] = iterates[1, 0]
     # wiring check, not a precision check: a missing alpha^2 or a b vs 2b^2
     # mixup is a 2x-11x error, far outside this band
     want = alpha**2 * 2 * b**2
@@ -236,21 +233,19 @@ def test_run_deterministic_and_seed_sensitive(quadratic):
     assert not np.array_equal(a.subopt, c.subopt)
 
 
-def test_subopt_is_values_of_iterates():
+def test_subopt_is_values_of_iterates(recorded_run):
     obj = LogisticObjective(generate_synthetic(4, 300, 5.0, 1), lam=0.05)
     T, m = 30, 60
     sched = uniform_scale(obj.sensitivity_bound(), 1.0, T, obj.n, m)
     hp = HyperParams(m=m, stages=((T, 0.5 / obj.L, nesterov_momentum(0.5 / obj.L, obj.mu)),))
     fstar = 0.25
-    traces = [
-        run("dp-nag", obj, hp, sched, PrivacyAccount(1.0, T, obj.n, m), RngStream(8),
-            np.ones(4), fstar, record_iterates=record)
-        for record in (True, False)
-    ]
-    kept, plain = traces
-    assert kept.iterates.shape == (T + 1, 4)
-    assert plain.iterates is None
-    assert np.array_equal(kept.subopt, obj.values(kept.iterates) - fstar)
+    kept, iterates = recorded_run("dp-nag", obj, hp, sched, PrivacyAccount(1.0, T, obj.n, m),
+                                  RngStream(8), np.ones(4), fstar)
+    plain = run("dp-nag", obj, hp, sched, PrivacyAccount(1.0, T, obj.n, m), RngStream(8),
+                np.ones(4), fstar)
+    assert iterates.shape == (T + 1, 4)
+    assert np.array_equal(kept.subopt, obj.values(iterates) - fstar)
+    # recording changes nothing the run returns
     assert np.array_equal(plain.subopt, kept.subopt)
     assert np.array_equal(plain.eps_cum, kept.eps_cum)
 
@@ -373,9 +368,9 @@ def test_table_csv_bytes_match_csv_writer(tmp_path, kind):
     elif kind == "schedule":
         NoiseSchedule(b=a, eps=b).to_csv(path)
         header, ref_rows = ["t", "b_t", "eps_t"], zip(t + 1, a, b)
-        back = NoiseSchedule.from_csv(path, provenance="p")
+        back = NoiseSchedule.from_csv(path)
         pairs = [(back.b, a), (back.eps, b)]
-        assert back.provenance == "p"
+        assert back.provenance == ""
     elif kind == "dataset":
         z, U = np.where(t % 3, 1.0, -1.0), np.column_stack([a, -b])
         x_true = np.array([0.1 + 0.2, 5e-324])
