@@ -814,21 +814,18 @@ def test_cli_run_and_summarize(tmp_path):
         ET.parse(p)
 
 
-def test_cli_run_reads_every_setting_from_the_config(tmp_path, capsys):
+def test_cli_run_workers_sets_the_config(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     config = dataclasses.asdict(
         tiny_config(algorithms=("dp-gd",), m_values=(40,), T_values=(5,)))
-    write_json(cfg_path, {**config, "workers": 2, "seed_base": 50})
+    write_json(cfg_path, {**config, "workers": 2})
     args = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
     assert main(args) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["config"] == json.loads(cfg_path.read_text())
     assert summary["config"]["workers"] == 2
-    seeds = sorted(p.stem.rsplit("_", 1)[1] for p in (tmp_path / "out" / "traces").glob("*.csv"))
-    assert seeds == ["50", "51"]
-    # the config file is the one way to set them
+    # the config file is the one way to set it
     _assert_refused(capsys, args + ["--workers", "2"], "unrecognized arguments: --workers 2")
-    _assert_refused(capsys, args + ["--seed-base", "7"], "unrecognized arguments: --seed-base 7")
     cfg_path.write_text(json.dumps({**config, "workers": 0}))
     _assert_refused(capsys, args, "workers")
     # a missing or malformed config file: one error line, not a traceback
@@ -837,6 +834,21 @@ def test_cli_run_reads_every_setting_from_the_config(tmp_path, capsys):
                     f"No such file or directory: '{missing}'")
     cfg_path.write_text(json.dumps({"u_max": "20"}))
     _assert_refused(capsys, args, "u_max must be a number, got '20'")
+
+
+def test_cli_run_seed_base_sets_the_config(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    config = dataclasses.asdict(
+        tiny_config(algorithms=("dp-gd",), m_values=(40,), T_values=(5,)))
+    write_json(cfg_path, {**config, "seed_base": 50})
+    args = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    assert main(args) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["config"] == json.loads(cfg_path.read_text())
+    seeds = sorted(p.stem.rsplit("_", 1)[1] for p in (tmp_path / "out" / "traces").glob("*.csv"))
+    assert seeds == ["50", "51"]
+    # the config file is the one way to set it
+    _assert_refused(capsys, args + ["--seed-base", "7"], "unrecognized arguments: --seed-base 7")
 
 
 def test_cli_summarize_trace_outside_grid(tmp_path, capsys):
