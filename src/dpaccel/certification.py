@@ -414,7 +414,6 @@ class QuadraticRateReport:
     mu: float
     L: float
     roots: np.ndarray  # (k, 2) complex, per eigenvalue
-    moduli: np.ndarray  # (k, 2)
     rho: float
     contractive: bool
     noise_gain: float | None
@@ -466,7 +465,6 @@ def quadratic_rate(alpha: float, beta: float, eigenvalues) -> QuadraticRateRepor
         mu=mu,
         L=L,
         roots=roots,
-        moduli=moduli,
         rho=rho,
         contractive=bool(rho < 1),
         noise_gain=gain,

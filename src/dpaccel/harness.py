@@ -111,6 +111,8 @@ class ExperimentConfig:
             raise ValueError("need at least one replicate")
         if self.workers < 1:
             raise ValueError("need workers >= 1")
+        if self.masg_p < 1:
+            raise ValueError(f"masg_p must be >= 1, got {self.masg_p}")
 
     @property
     def seed_list(self) -> list[int]:

@@ -68,11 +68,12 @@ def masg_stage_schedule(mu: float, L: float, c: float, p: int, T: int) -> tuple:
         raise ValueError(f"need 0 < mu <= L, got mu={mu}, L={L}")
     if c <= 0:
         raise ValueError(f"stepsize scale must be positive, got {c}")
+    if p < 1:
+        raise ValueError(f"need p >= 1, got {p}")
     if T < 1:
         raise ValueError(f"need T >= 1, got {T}")
-    kappa = L / mu
-    unit = int(np.ceil(np.sqrt(kappa) * np.log(2.0 ** (p + 2))))
-    unit = max(unit, 1)
+    # L / mu >= 1 and p >= 1 make the unit at least ceil(3 ln 2) = 3
+    unit = int(np.ceil(np.sqrt(L / mu) * np.log(2.0 ** (p + 2))))
     stages = [(min(unit, T), c / L)]
     total = stages[0][0]
     k = 2

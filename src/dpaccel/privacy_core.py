@@ -5,9 +5,8 @@ coordinate-wise Laplace noise of scale ``b``.  When the gradient is computed
 on a uniform subsample of ``m`` out of ``n`` records, the per-release leak
 shrinks by amplification; leaks compose additively across iterations.
 
-Randomness is counter-based (Philox, keyed by a 64-bit seed): every draw is
-addressed by ``(seed, counter)``, so any single draw can be reproduced
-without replaying the stream.
+Randomness comes from seeded streams: one Philox generator keyed by a 64-bit
+seed, drawn from in order, so a run is reproduced by rerunning its seed.
 """
 
 from __future__ import annotations
@@ -32,17 +31,12 @@ _SCHEDULE_HEADER = ("t", "b_t", "eps_t")
 
 
 class RngStream:
-    """Deterministic stream of random draws addressed by (seed, counter).
+    """Seeded stream of random draws, taken in order.
 
-    Each draw comes from a Philox generator whose 256-bit counter block is
-    the index of the draw, then advances the index.  Two streams with the
-    same seed produce identical draw sequences; a single draw is recoverable
-    from its index alone.
-
-    A stream builds one Philox bit generator and one Generator, and before
-    each draw sets the bit generator's whole state to (seed, counter) with
-    an empty output buffer, which gives the draws of a freshly built
-    generator at that counter.  A stream belongs to one thread.
+    One Philox generator keyed by the seed (masked to 64 bits) makes every
+    draw, so two streams with the same seed produce identical draw
+    sequences.  ``counter`` is the number of draws made so far.  A stream
+    belongs to one thread.
     """
 
     def __init__(self, seed: int):
@@ -50,29 +44,15 @@ class RngStream:
             raise ValueError(f"seed must be an integer, got {type(seed).__name__}")
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
         self.counter = 0
-        self._bitgen = np.random.Philox(key=self.seed)
-        self._gen = np.random.Generator(self._bitgen)
-        self._block = np.zeros(4, dtype=np.uint64)
-        # the state setter copies every field, so one dict serves every draw
-        self._state = {
-            "bit_generator": "Philox",
-            "state": {"counter": self._block, "key": self._bitgen.state["state"]["key"]},
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        self._gen = np.random.Generator(np.random.Philox(key=self.seed))
 
     def _generator(self) -> np.random.Generator:
-        """The stream's generator positioned at the current counter, which
-        then advances.  It is valid only until the next draw repositions it."""
-        self._block[3] = self.counter
-        self._bitgen.state = self._state
+        """The stream's generator, counting the draw about to be made."""
         self.counter += 1
         return self._gen
 
     def random(self, size=None):
-        """Uniform draws on [0, 1) consuming one counter slot."""
+        """Uniform draws on [0, 1), as one draw."""
         return self._generator().random(size)
 
     def uniform(self, low: float, high: float, size=None):
@@ -88,8 +68,10 @@ class RngStream:
 def laplace_sample(rng: RngStream, b: float, d: int) -> np.ndarray:
     """Draw a d-vector of iid Laplace(0, b) noise by inverse CDF.
 
+    The noise transforms one ``rng.random(d)`` draw, the stream's next.
+
     Args:
-      rng: stream to draw from (consumes one counter slot).
+      rng: stream to draw from.
       b: scale; the density is exp(-|x|/b) / (2b).  Must be positive.
       d: dimension, at least 1.
 

@@ -138,12 +138,12 @@ def slow_masg_weights(stages, mu, L):
 
 
 # mu/L in [0.005, 0.9] and c in [0.05, 1] keep every stage's alpha within
-# 1/L and mu * alpha below 1
+# 1/L and mu * alpha below 1; masg_stage_schedule refuses p < 1
 masg_inputs = st.tuples(
     st.floats(0.005, 0.9),
     st.floats(0.5, 2.0),
     st.floats(0.05, 1.0),
-    st.integers(0, 3),
+    st.integers(1, 3),
     st.integers(1, 300),
 )
 

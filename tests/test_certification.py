@@ -570,7 +570,7 @@ def test_quadratic_rate_vieta_and_complex_moduli():
     assert np.iscomplexobj(rep.roots)
     prod = np.abs(rep.roots[:, 0] * rep.roots[:, 1])
     np.testing.assert_allclose(prod, 0.9, rtol=1e-12)
-    assert np.all(rep.moduli == np.sqrt(0.9))
+    assert rep.rho == np.sqrt(0.9)
     # mixed real/complex spectrum keeps the Vieta identity everywhere
     rep = quadratic_rate(1.0, 0.5, [0.05, 1.0])
     prod = np.abs(rep.roots[:, 0] * rep.roots[:, 1])
@@ -607,7 +607,7 @@ def test_quadratic_rate_equals_hand_split(alpha, beta, eigs):
     rep = quadratic_rate(alpha, beta, eigs)
     roots, moduli = _hand_split_roots(alpha, beta, rep.eigenvalues)
     assert rep.roots.tobytes() == roots.tobytes()  # every bit, signed zeros included
-    assert rep.moduli.tobytes() == moduli.tobytes()
+    assert np.float64(rep.rho).tobytes() == moduli.max().tobytes()
 
 
 def test_quadratic_rate_validation():

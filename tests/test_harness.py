@@ -109,7 +109,8 @@ def test_config_rejects_unknown_keys(tmp_path):
 # (field, value) pairs that must be refused when the config is built
 _MALFORMED = [
     ("d", 3.0), ("n", 200.5), ("data_seed", 3.0), ("replicates", 1.5), ("seed_base", 7.0),
-    ("masg_p", 1.0), ("workers", 2.0), ("m_values", (50.0,)), ("T_values", (5.0,)),
+    ("masg_p", 1.0), ("masg_p", 0), ("masg_p", -2), ("workers", 2.0),
+    ("m_values", (50.0,)), ("T_values", (5.0,)),
     ("u_max", np.nan), ("u_max", np.inf), ("lam", np.inf), ("lam", -1.0),
     ("epsilon", np.inf), ("epsilon", np.nan), ("epsilon", 0.0),
     # what a JSON config can hold besides numbers: strings, null, booleans
@@ -553,6 +554,13 @@ def test_write_line_svg(tmp_path):
     body = out.read_text()
     assert body.count("<polyline") == 2
     assert "demo" in body
+    # flat ranges: a constant curve (y range 0) and a one-point curve (x and y range 0)
+    for curves in ([("flat", xs, np.full(10, 2.5))], [("dot", [3.0], [7.0])]):
+        write_line_svg(out, curves, title="flat", xlabel="t", ylabel="y")
+        body = out.read_text()
+        ET.parse(out)
+        assert body.count("<polyline") == 1
+        assert "nan" not in body.lower()
 
 
 def test_write_line_svg_rejects_empty(tmp_path):
@@ -615,9 +623,12 @@ def test_cli_allocate_nag_opt_selects_horizon(tmp_path):
 
 def test_cli_allocate_masg_opt_subsampled(tmp_path, capsys):
     out = tmp_path / "sched.csv"
-    rc = main(["allocate", "--scheme", "masg-opt", "--S1", "4.0", "--epsilon", "1.0",
-               "--T", "300", "--n", "1000", "--m", "100", "--mu", "0.05", "--L", "1.0",
-               "--c", "1.0", "--p", "1", "--e0", "50.0", "--d", "3", "--out", str(out)])
+    argv = ["allocate", "--scheme", "masg-opt", "--S1", "4.0", "--epsilon", "1.0",
+            "--T", "300", "--n", "1000", "--m", "100", "--mu", "0.05", "--L", "1.0",
+            "--c", "1.0", "--e0", "50.0", "--d", "3", "--out", str(out)]
+    _assert_refused(capsys, argv + ["--p", "0"], "need p >= 1, got 0")
+    assert not out.exists()
+    rc = main(argv + ["--p", "1"])
     assert rc == 0
     printed = capsys.readouterr().out
     T = int(printed.split("selected horizon T=")[1].split()[0])
@@ -792,7 +803,7 @@ def test_cli_analyze_quadratic(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_cli_run_and_summarize(tmp_path):
+def test_cli_run_and_summarize(tmp_path, capsys, monkeypatch):
     cfg = tiny_config(algorithms=("dp-gd",), m_values=(40,), T_values=(5,))
     cfg_path = tmp_path / "config.json"
     write_json(cfg_path, dataclasses.asdict(cfg))
@@ -812,6 +823,24 @@ def test_cli_run_and_summarize(tmp_path):
     assert svgs
     for p in svgs:
         ET.parse(p)
+
+    # a cell that fails to plan is counted in one line and kept in summary.json
+    real_plan_cell = harness.plan_cell
+
+    def plan_cell(algo, *args):
+        if algo == "dp-hb":
+            raise ValueError("no plan")
+        return real_plan_cell(algo, *args)
+
+    monkeypatch.setattr(harness, "plan_cell", plan_cell)
+    two_cells = dataclasses.replace(cfg, algorithms=("dp-gd", "dp-hb"))
+    write_json(cfg_path, dataclasses.asdict(two_cells))
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out2")]) == 0
+    assert "\n1 cell(s) failed; see summary.json\n" in capsys.readouterr().out
+    summary = json.loads((tmp_path / "out2" / "summary.json").read_text())
+    assert summary["failed"] == [{"cell": "dp-hb_40_5_0.5", "error": "no plan"}]
+    assert [r["algorithm"] for r in summary["records"]] == ["dp-gd"]
 
 
 def test_cli_run_workers_sets_the_config(tmp_path, capsys):

@@ -44,10 +44,12 @@ def test_synthetic_labels_follow_model():
 
 
 def test_synthetic_labels_pinned():
-    # sha256 of the labels drawn through scipy.special.expit: the numpy
-    # sigmoid must draw every one of them the same
+    # sha256 of the labels drawn through scipy.special.expit: generate_synthetic's
+    # steps replayed on one np.random.Generator(np.random.Philox(key=0)), in
+    # the same order, with expit(U @ x_true) as the label probabilities.  The
+    # numpy sigmoid must draw every one of them the same
     z = generate_synthetic(20, 10_000, 20.0, 0).z
-    digest = "a0a25d2eaf0cad47be5001ef49edec02671331a7a404ab9d45bd4364b84ce684"
+    digest = "fe7bbdcc0ce43b73a4f01f15636de53c4b0435516760d068f207bf7924ff4536"
     assert hashlib.sha256(z.tobytes()).hexdigest() == digest
 
 

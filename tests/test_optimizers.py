@@ -153,6 +153,10 @@ def test_stage_schedule_validation():
     # a negative stepsize, which would run gradient ascent
     with pytest.raises(ValueError, match="stepsize"):
         HyperParams(m=200, stages=((20, -1.0, 0.5),))
+    # a stage exponent p < 1 is refused, not clamped to one plan
+    for p in (0, -2, -3, -10):
+        with pytest.raises(ValueError, match="need p >= 1"):
+            masg_stage_schedule(mu=0.01, L=1.0, c=1.0, p=p, T=60)
     plan = HyperParams(m=1, stages=[[3, 0.1, 0.0], (np.int64(2), np.float64(0.05), 0.5)])
     assert plan.stages == ((3, 0.1, 0.0), (2, 0.05, 0.5))
     assert plan.T == 5
