@@ -102,17 +102,12 @@ def noise_bound(S1: float, m: int, n: int, epsilon0: float, d: int):
         raise ValueError("need finite S1 > 0 and epsilon0 > 0, and d >= 1")
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
-    b = S1 / (m * epsilon0)
     sub = 0.0 if m == n else S1**2 / 4.0 * (1.0 / m) * (n - m) / (n - 1.0)
-    lap = 2.0 * d * b**2
-    return NoiseBound(b, sub, lap, sub + lap)
+    return NoiseBound(sub + 2.0 * d * (S1 / (m * epsilon0)) ** 2)
 
 
 @dataclass
 class NoiseBound:
-    b: float
-    subsample_var: float
-    laplace_var: float
     total: float
 
 
@@ -471,10 +466,8 @@ def quadratic_rate(alpha: float, beta: float, eigenvalues) -> QuadraticRateRepor
     )
 
 
-def quadratic_bound(
-    report: QuadraticRateReport, sigma2: float, t, v0_norm: float, c_mult: float = 1.0
-):
-    """Suboptimality bound V * (c_mult*t)^2 * rho^(2t) + L * noise floor.
+def quadratic_bound(report: QuadraticRateReport, sigma2: float, t, v0_norm: float):
+    """Suboptimality bound V * t^2 * rho^(2t) + L * noise floor.
 
     v0_norm is E|| (xi0 - xi*)(xi0 - xi*)^T ||; the noise floor is
     L * sigma2/2 * noise_gain with sigma2 the per-coordinate noise variance.
@@ -485,11 +478,9 @@ def quadratic_bound(
         raise ValueError(f"no contraction: rho = {report.rho} >= 1")
     if report.noise_gain is None:
         raise ValueError("noise floor undefined: some 2 + 2*beta - alpha*lam <= 0")
-    if not all(0 <= x < np.inf for x in (sigma2, v0_norm, c_mult)):
-        raise ValueError("sigma2, v0_norm and c_mult must be finite and >= 0")
+    if not all(0 <= x < np.inf for x in (sigma2, v0_norm)):
+        raise ValueError("sigma2 and v0_norm must be finite and >= 0")
     t = np.asarray(t, dtype=float)
     V = v0_norm + sigma2 * report.alpha**2 / (1.0 - report.rho**2)
-    out = V * (c_mult * t) ** 2 * report.rho ** (2.0 * t) + report.L * (
-        sigma2 / 2.0
-    ) * report.noise_gain
+    out = V * t**2 * report.rho ** (2.0 * t) + report.L * (sigma2 / 2.0) * report.noise_gain
     return float(out) if out.ndim == 0 else out

@@ -150,7 +150,6 @@ def _add_analyze_quadratic(sub):
     p.add_argument("--eigs", required=True, help="comma-separated Hessian eigenvalues")
     p.add_argument("--sigma2", type=float, default=None, help="per-coordinate noise variance")
     p.add_argument("--v0", type=float, default=1.0, help="initial Lyapunov value")
-    p.add_argument("--c-mult", type=float, default=1.0)
     p.add_argument("--t-max", type=int, default=None)
     p.add_argument("--out", default=None, help="CSV of the bound over t")
     p.set_defaults(func=_cmd_analyze_quadratic)
@@ -166,7 +165,7 @@ def _cmd_analyze_quadratic(args):
     report = cert.quadratic_rate(args.alpha, args.beta, eigs)
     if args.out:
         t = np.arange(args.t_max + 1)
-        vals = cert.quadratic_bound(report, args.sigma2, t, args.v0, args.c_mult)
+        vals = cert.quadratic_bound(report, args.sigma2, t, args.v0)
     print(json.dumps(report.as_dict(), indent=2))
     if args.out:
         _write_bound_csv(args.out, t, vals)

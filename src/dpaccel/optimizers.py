@@ -2,13 +2,16 @@
 
 run() carries every variant: plain gradient descent, heavy ball,
 Nesterov momentum, and a multi-stage Nesterov scheme in the style of
-Aybat, Fallah, Gurbuzbalaban & Ozdaglar (NeurIPS 2019).
+Aybat, Fallah, Gurbuzbalaban & Ozdaglar (NeurIPS 2019).  All take one step,
+y = (1 + beta) x - beta x_prev, x' = y - alpha g, with g at x (dp-gd, dp-hb)
+or at y (dp-nag, dp-masg) [Lessard, Recht & Packard, SIAM J. Optim. 2016].
 
 dp-hb is the paper's heavy ball with a smoothed gradient average,
 reparametrised.  The smoothed form ubar_t = beta ubar_{t-1} + (1 - beta) g_t,
 x_{t+1} = x_t - alpha/(1 - beta) ubar_t from ubar_{-1} = 0 gives the same
 iterates as x_{t+1} = x_t - alpha g_t + beta (x_t - x_{t-1}) from
-x_{-1} = x_0; acceptance test 11 replays the smoothed form against dp-hb.
+x_{-1} = x_0, up to rounding (y - alpha g differs in the last bits);
+acceptance test 11 replays the smoothed form against dp-hb.
 
 dp-masg's stepsize drops 16x at the first stage boundary (c/L -> c/16L)
 and 4x at each later one, and every stage restarts its momentum from the
@@ -147,10 +150,13 @@ def run(
 ) -> Trace:
     """Run one private optimization and return its trace.
 
-    Per iteration: draw the subsample (only when m < n), evaluate the mean
-    gradient at the algorithm's query point, add Laplace(b_t) noise, charge
-    eps_t to the account, update, and store the iterate in a preallocated
-    (T+1, d) array.  After the loop, subopt = obj.values(iterates) - fstar
+    Per iteration: draw the subsample (only when m < n), form
+    y = (1 + beta) x - beta x_prev, take the mean gradient g at x (dp-gd,
+    dp-hb; at beta = 0, y == x) or at y (dp-nag, dp-masg), add Laplace(b_t)
+    noise, charge eps_t to the account, step to y - alpha g, and store the
+    iterate in a preallocated (T+1, d) array.  dp-hb's iterates differ in
+    their last bits from x - alpha g + beta (x - x_prev), the same step
+    rounded otherwise.  After the loop, subopt = obj.values(iterates) - fstar
     in one vectorised call; meta["wall_time"] includes it.  The trace has
     T+1 rows; row 0 is the initial point with zero leak.
 
@@ -210,18 +216,13 @@ def run(
         one_plus = 1.0 + beta_s
         for t in range(first, first + length):
             idx = subsample(n, m) if subsampled else None
-            point = one_plus * x - beta_s * x_prev if lookahead else x
-            g = gradient(point, idx)
+            y = one_plus * x - beta_s * x_prev
+            g = gradient(y if lookahead else x, idx)
             b_t = b[t]
             if b_t > 0:
                 g = g + laplace_sample(rng, b_t, d)
             eps_cum[t + 1] = spend(eps[t])
-
-            if lookahead:
-                x_new = point - alpha_s * g
-            else:
-                x_new = x - alpha_s * g + beta_s * (x - x_prev)
-            x_prev, x = x, x_new
+            x_prev, x = x, y - alpha_s * g
             iterates[t + 1] = x
         first += length
 

@@ -16,7 +16,7 @@ from dpaccel.budget_allocator import (
     select_horizon,
 )
 from dpaccel.optimizers import masg_stage_schedule, nesterov_momentum
-from dpaccel.privacy_core import BUDGET_TOL, epsilon_of
+from dpaccel.privacy_core import BUDGET_TOL, NoiseSchedule, epsilon_of
 
 
 def stage_of(stages, i):
@@ -93,6 +93,11 @@ def test_coefficient_validation():
         BoundCoefficients(a0=-1.0, a=np.ones(2))
     with pytest.raises(ValueError):
         BoundCoefficients(a0=1.0, a=np.array([1.0, -1.0]))
+    with pytest.raises(ValueError, match="1-d"):
+        BoundCoefficients(a0=1.0, a=np.ones((2, 2)))
+    for alpha in (0.0, -0.5):
+        with pytest.raises(ValueError, match="stepsize must be positive"):
+            nag_coefficients(0.5, 1.0, alpha, 5)
     # mu*alpha = 1 leaves q = 0 and no usable allocation
     with pytest.raises(ValueError):
         nag_coefficients(1.0, 1.0, 1.0, 3)
@@ -286,6 +291,8 @@ def test_optimal_beats_random_feasible():
         bound_value(co, np.ones(3), 2, 1.0)
     with pytest.raises(ValueError):
         bound_value(co, b, 2, -1.0)
+    with pytest.raises(ValueError, match="need d >= 1"):
+        bound_value(co, b, 0, 1.0)
     rng = np.random.default_rng(2)
     S1, n, eps, d, E0 = 4.0, 1000, 0.8, 3, 2.0
     for T in (2, 5, 50):
@@ -340,6 +347,13 @@ def test_optimal_schedule_rejects_zero_weights():
         optimal_schedule(co, 1.0, 10, 1.0)
     with pytest.raises(ValueError):
         optimal_schedule(BoundCoefficients(a0=1.0, a=np.ones(2)), -1.0, 10, 1.0)
+    with pytest.raises(ValueError, match="need n >= 1"):
+        optimal_schedule(BoundCoefficients(a0=1.0, a=np.ones(2)), 1.0, 0, 1.0)
+    for eps in (0.0, np.inf):
+        with pytest.raises(ValueError, match="budget must be positive"):
+            optimal_schedule(BoundCoefficients(a0=1.0, a=np.ones(2)), 1.0, 10, eps)
+    with pytest.raises(ValueError, match="empty schedule"):
+        rescale_for_subsampling(NoiseSchedule(b=[], eps=[]), 1.0, 10, 5, 1.0)
 
 
 def test_rescale_noop_without_subsampling():
@@ -443,6 +457,11 @@ def test_select_horizon_needs_stage_factors():
     bare = lambda Tp: BoundCoefficients(a0=0.5, a=np.ones(Tp))
     with pytest.raises(ValueError, match="stage factors"):
         select_horizon(bare, 1.0, 1.0, 100, 1.0, 1, 20)
+    builder = horizon_builder("nag", 0.1, 1.0, 1.0, 1)
+    with pytest.raises(ValueError, match="need T_max >= 1"):
+        select_horizon(builder, 1.0, 1.0, 100, 1.0, 1, 0)
+    with pytest.raises(ValueError, match="returned 21 weights"):
+        select_horizon(lambda Tp: builder(Tp + 1), 1.0, 1.0, 100, 1.0, 1, 20)
     with pytest.raises(ValueError):
         BoundCoefficients(a0=0.5, a=np.ones(3), factors=((2, 0.5, 1.0),))
 

@@ -72,21 +72,18 @@ def test_sym3_nearly_repeated_matches_lapack():
 
 
 def test_noise_bound_full_batch():
+    # m = n: no subsampling term, so the total is the Laplace term 2 d b^2
     nb = noise_bound(40.0, 100_000, 100_000, 0.5, 20)
-    assert nb.subsample_var == 0.0
     want_lap = 2.0 * 20 * 40.0**2 / (100_000 * 0.5) ** 2
-    assert nb.laplace_var == pytest.approx(want_lap, rel=1e-15)
-    assert nb.total == nb.laplace_var
-    assert nb.b == pytest.approx(40.0 / (100_000 * 0.5), rel=1e-15)
+    assert nb.total == pytest.approx(want_lap, rel=1e-15)
 
 
 def test_noise_bound_subsampling_oracle():
     # (S1^2/4)(1/m)(n-m)/(n-1) at S1=40, m=1e3, n=1e5 = 0.396003960039600396
     nb = noise_bound(40.0, 1_000, 100_000, 0.69568, 20)
-    assert nb.subsample_var == pytest.approx(0.396003960039600396, rel=1e-13)
+    want_sub = 0.396003960039600396
     want_lap = 2.0 * 20 * 1600.0 / (1_000 * 0.69568) ** 2
-    assert nb.laplace_var == pytest.approx(want_lap, rel=1e-15)
-    assert nb.total == pytest.approx(nb.subsample_var + nb.laplace_var, rel=1e-15)
+    assert nb.total == pytest.approx(want_sub + want_lap, rel=1e-13)
 
 
 def test_noise_bound_validation():
@@ -292,6 +289,10 @@ def test_search_validation():
         g = dataclasses.replace(CertificateGrid.default(), **{field: np.array(bad)})
         with pytest.raises(ValueError):
             search_certificate(1.0, 0.0, 0.5, 1.0, grid=g)
+    # no P on the grid is PSD
+    g = dataclasses.replace(CertificateGrid.default(), p11=np.array([-1.0]))
+    with pytest.raises(ValueError, match="no PSD candidates"):
+        search_certificate(1.0, 0.0, 0.5, 1.0, grid=g)
 
 
 def scaled_grid(p, m):
@@ -650,14 +651,6 @@ def test_quadratic_bound_transient_vanishes_at_t_zero():
     assert quadratic_bound(rep, 0.2, 0, 7.0) == pytest.approx(floor, rel=1e-15)
 
 
-def test_quadratic_bound_cmult_scales_transient():
-    rep = quadratic_rate(0.5, 0.1, [0.5, 1.0])
-    floor = rep.L * (0.2 / 2.0) * rep.noise_gain
-    b1 = quadratic_bound(rep, 0.2, 13, 7.0, c_mult=1.0) - floor
-    b2 = quadratic_bound(rep, 0.2, 13, 7.0, c_mult=2.0) - floor
-    assert b2 == pytest.approx(4.0 * b1, rel=1e-12)
-
-
 def test_quadratic_bound_guards():
     bad = quadratic_rate(10.0, 0.999, [0.5, 1.0])
     with pytest.raises(ValueError):
@@ -672,9 +665,9 @@ def test_quadratic_bound_guards():
             quadratic_bound(rep, bad, 1, 1.0)
         with pytest.raises(ValueError, match="finite"):
             quadratic_bound(rep, 0.1, 1, bad)
-    for bad in (np.nan, np.inf, -2.0):
-        with pytest.raises(ValueError, match="c_mult must be finite"):
-            quadratic_bound(rep, 0.1, 1, 1.0, c_mult=bad)
+    # a contractive report without a noise gain has no floor
+    with pytest.raises(ValueError, match="noise floor undefined"):
+        quadratic_bound(dataclasses.replace(rep, noise_gain=None), 0.1, 1, 1.0)
 
 
 def test_rate_momentum_sweep_shape():

@@ -16,7 +16,7 @@ import pytest
 import dpaccel
 from dpaccel import budget_allocator as ba
 from dpaccel import harness
-from dpaccel._table import write_json
+from dpaccel._table import read_sidecar, write_json
 from dpaccel.budget_allocator import _optimized_bound, masg_coefficients_for
 from dpaccel.cli import main
 from dpaccel.harness import (
@@ -142,6 +142,9 @@ def test_config_validation(tmp_path):
         tiny_config(workers=0)
     with pytest.raises(ValueError):
         tiny_config(replicates=0)
+    for field, value in (("d", 0), ("n", 1)):
+        with pytest.raises(ValueError, match="need d >= 1 and n >= 2"):
+            tiny_config(**{field: value})
     for e0 in (-1.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="e0_guess"):
             tiny_config(e0_guess=e0)
@@ -172,6 +175,40 @@ def test_reference_optimum_logistic_stationary():
     xstar, fstar, gnorm = reference_optimum(obj)
     assert gnorm < 1e-6
     assert fstar < obj.value(np.zeros(5))
+
+
+def test_reference_optimum_one_gradient_per_step():
+    # each full_gradient call is the next query point z of one Nesterov run
+    # from 0, replayed here; the answer is the first z whose gradient norm
+    # meets the tolerance, and value is called once, on it
+    obj = LogisticObjective(generate_synthetic(5, 500, 4.0, seed=1), lam=0.05)
+    points, valued = [], []
+
+    class Counting:
+        d, mu, L = obj.d, obj.mu, obj.L
+
+        def full_gradient(self, x):
+            points.append(x.copy())
+            return obj.full_gradient(x)
+
+        def value(self, x):
+            valued.append(x.copy())
+            return obj.value(x)
+
+    xstar, fstar, gnorm = reference_optimum(Counting())
+    alpha = 1.0 / obj.L
+    beta = nesterov_momentum(alpha, obj.mu)
+    x = x_prev = np.zeros(obj.d)
+    norms = []
+    for z in points:
+        assert np.array_equal(z, (1 + beta) * x - beta * x_prev)
+        g = obj.full_gradient(z)
+        norms.append(float(np.linalg.norm(g)))
+        x_prev, x = x, z - alpha * g
+    assert min(norms[:-1]) > harness._REFERENCE_GRAD_TOL >= norms[-1] == gnorm
+    assert np.array_equal(xstar, points[-1])
+    assert len(valued) == 1 and np.array_equal(valued[0], xstar)
+    assert fstar == obj.value(xstar)
 
 
 def test_reference_optimum_ridge_dominated():
@@ -360,6 +397,29 @@ def test_run_grid_workers_match_serial(tmp_path):
     assert names_a == names_b
     for name in names_a:
         assert (a / "traces" / name).read_bytes() == (b / "traces" / name).read_bytes()
+
+
+def test_run_grid_cell_reproduced_alone(tiny_grid, tmp_path):
+    # README's Determinism section: a uniform cell, an -opt cell and one seed
+    # (seed_base = s, replicates = 1), each rerun on its own, write the
+    # grid's trace bytes and sidecars that differ only in wall_time
+    config, out, _ = tiny_grid
+    alone = {
+        "uniform": dict(algorithms=("dp-hb",), m_values=(40,), T_values=(6,)),
+        "opt": dict(algorithms=("dp-nag-opt",), m_values=(120,), T_values=(4,)),
+        "seed": dict(algorithms=("dp-gd",), m_values=(40,), T_values=(4,),
+                     seed_base=config.seed_list[-1], replicates=1),
+    }
+    for name, fields in alone.items():
+        run_grid(dataclasses.replace(config, **fields), tmp_path / name)
+        paths = sorted((tmp_path / name / "traces").glob("*.csv"))
+        assert len(paths) == (1 if name == "seed" else config.replicates)
+        for path in paths:
+            twin = out / "traces" / path.name
+            assert path.read_bytes() == twin.read_bytes()
+            meta, want = read_sidecar(path), read_sidecar(twin)
+            assert meta.pop("wall_time") > 0 and want.pop("wall_time") > 0
+            assert meta == want
 
 
 def test_run_grid_records_failed_cells(tmp_path, monkeypatch):
@@ -626,8 +686,11 @@ def test_cli_allocate_masg_opt_subsampled(tmp_path, capsys):
     argv = ["allocate", "--scheme", "masg-opt", "--S1", "4.0", "--epsilon", "1.0",
             "--T", "300", "--n", "1000", "--m", "100", "--mu", "0.05", "--L", "1.0",
             "--c", "1.0", "--e0", "50.0", "--d", "3", "--out", str(out)]
-    _assert_refused(capsys, argv + ["--p", "0"], "need p >= 1, got 0")
-    assert not out.exists()
+    # p < 1 is refused whatever the scheme, though only masg-opt reads p
+    for scheme in ("masg-opt", "nag-opt", "uniform"):
+        other = [scheme if arg == "masg-opt" else arg for arg in argv]
+        _assert_refused(capsys, other + ["--p", "0"], "need p >= 1, got 0")
+        assert not out.exists()
     rc = main(argv + ["--p", "1"])
     assert rc == 0
     printed = capsys.readouterr().out
@@ -792,10 +855,6 @@ def test_cli_analyze_quadratic(tmp_path, capsys):
     for bad, message in (
         (["--alpha", "nan", "--sigma2", "0.01", "--t-max", "15"],
          "stepsize must be finite and positive"),
-        (["--alpha", "0.5", "--sigma2", "0.01", "--t-max", "15", "--c-mult", "nan"],
-         "c_mult must be finite and >= 0"),
-        (["--alpha", "0.5", "--sigma2", "0.01", "--t-max", "15", "--c-mult", "-2"],
-         "c_mult must be finite and >= 0"),
         (["--alpha", "0.5", "--sigma2", "0.01", "--t-max", "-3"], "need --t-max >= 0, got -3"),
         (["--alpha", "0.5", "--t-max", "15"], "--out needs --sigma2 and --t-max"),
     ):

@@ -17,7 +17,13 @@ from dpaccel.optimizers import (
     polyak_momentum,
     run,
 )
-from dpaccel.privacy_core import NoiseSchedule, PrivacyAccount, RngStream, uniform_scale
+from dpaccel.privacy_core import (
+    NoiseSchedule,
+    PrivacyAccount,
+    RngStream,
+    laplace_sample,
+    uniform_scale,
+)
 
 
 def quad1d(quadratic):
@@ -76,6 +82,30 @@ def test_hb_hand_recursion(quadratic, recorded_run):
     _, iterates = recorded_run("dp-hb", obj, hp, no_noise(3), PrivacyAccount(1.0, 3, 1, 1),
                                RngStream(0), np.array([1.0]), obj.fstar)
     assert iterates[:, 0] == pytest.approx([1.0, 0.0, -0.5, -0.25], abs=1e-15)
+
+
+def test_hb_is_the_momentum_step_bitwise(recorded_run):
+    # independent replay of y = (1 + beta) x - beta x_prev, x' = y - alpha g
+    # with g the noisy minibatch gradient at x, from the run's own draws, and
+    # momentum restarted (x_prev = x) at each stage's start
+    obj = LogisticObjective(generate_synthetic(3, 200, 4.0, seed=2), lam=0.05)
+    T, m = 300, 50
+    sched = uniform_scale(obj.sensitivity_bound(), 1.0, T, obj.n, m)
+    stages = ((T, 1.0 / obj.L, polyak_momentum(obj.mu, obj.L)),)
+    x0 = np.array([0.5, -1.0, 2.0])
+    _, iterates = recorded_run("dp-hb", obj, HyperParams(m=m, stages=stages), sched,
+                               PrivacyAccount(1.0, T, obj.n, m), RngStream(9), x0, 0.0)
+    rng = RngStream(9)
+    x, t = x0, 0
+    for length, alpha, beta in stages:
+        x_prev = x
+        for _ in range(length):
+            g = obj.minibatch_gradient(x, rng.subsample(obj.n, m))
+            g = g + laplace_sample(rng, sched.b[t], obj.d)
+            y = (1 + beta) * x - beta * x_prev
+            x_prev, x = x, y - alpha * g
+            t += 1
+            assert np.array_equal(iterates[t], x), t
 
 
 def test_nag_hand_recursion(quadratic, recorded_run):
@@ -157,6 +187,13 @@ def test_stage_schedule_validation():
     for p in (0, -2, -3, -10):
         with pytest.raises(ValueError, match="need p >= 1"):
             masg_stage_schedule(mu=0.01, L=1.0, c=1.0, p=p, T=60)
+    with pytest.raises(ValueError, match="need 0 < mu <= L"):
+        masg_stage_schedule(mu=2.0, L=1.0, c=1.0, p=1, T=60)
+    for c in (0.0, -1.0):
+        with pytest.raises(ValueError, match="stepsize scale must be positive"):
+            masg_stage_schedule(mu=0.01, L=1.0, c=c, p=1, T=60)
+    with pytest.raises(ValueError, match="need T >= 1"):
+        masg_stage_schedule(mu=0.01, L=1.0, c=1.0, p=1, T=0)
     plan = HyperParams(m=1, stages=[[3, 0.1, 0.0], (np.int64(2), np.float64(0.05), 0.5)])
     assert plan.stages == ((3, 0.1, 0.0), (2, 0.05, 0.5))
     assert plan.T == 5

@@ -291,6 +291,8 @@ def test_epsilon_validation():
         epsilon_of(1.0, 1.0, 10, 11)
     with pytest.raises(ValueError):
         epsilon_of(1.0, 1.0, 10, 0)
+    with pytest.raises(ValueError, match="must be integers"):
+        epsilon_of(1.0, 1.0, 10.5, 5)
     assert epsilon_of(0.0, 1.0, 10, 5) == 0.0
 
 
@@ -340,6 +342,9 @@ def test_schedule_validation():
         NoiseSchedule(b=np.array([1.0]), eps=np.array([0.1, 0.1]))
     with pytest.raises(ValueError):
         NoiseSchedule(b=np.array([1.0]), eps=np.array([-0.1]))
+    for S1 in (0.0, np.nan):
+        with pytest.raises(ValueError, match="sensitivity must be positive"):
+            uniform_scale(S1, 1.0, 5, 100, 10)
     # b == 0 is valid input: no noise that iteration
     off = NoiseSchedule(np.zeros(5), np.zeros(5))
     assert len(off) == 5
@@ -403,3 +408,5 @@ def test_account_rejects_bad_spends():
         PrivacyAccount(epsilon_total=-1.0, T=1, n=10, m=10)
     with pytest.raises(ValueError):
         PrivacyAccount(epsilon_total=1.0, T=1, n=10, m=11)
+    with pytest.raises(ValueError, match="need T >= 0"):
+        PrivacyAccount(epsilon_total=1.0, T=-1, n=10, m=10)
