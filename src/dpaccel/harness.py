@@ -32,7 +32,7 @@ from .optimizers import (
     masg_stage_schedule,
     nesterov_momentum,
     polyak_momentum,
-    run,
+    run_group,
 )
 from .privacy_core import PrivacyAccount, RngStream, uniform_scale
 
@@ -229,11 +229,13 @@ def run_grid(config: ExperimentConfig, out_dir) -> dict:
     """Run the whole grid, write traces and a summary, return the summary.
 
     A cell that fails to plan is recorded under "failed" as {"cell", "error"}
-    and skipped; a run that raises is recorded as {"cell", "seed", "error"},
-    and the summary covers the runs that finished (no records, when none
-    did; summary.json is written either way).  Results are deterministic
-    for a fixed config regardless of config.workers: every run is keyed by
-    (cell, seed) and aggregation follows config order.
+    and skipped; a run that raises or diverges is recorded as
+    {"cell", "seed", "error"}, and the summary covers the runs that finished
+    (no records, when none did; summary.json is written either way).  The
+    runs that share (m, seed) step in lockstep (optimizers.run_group), each
+    with the bits it gets alone.  Results are deterministic for a fixed
+    config regardless of config.workers: every run is keyed by (cell, seed)
+    and aggregation follows config order.
     """
     out_dir = Path(out_dir)
     traces_dir = out_dir / "traces"
@@ -262,27 +264,41 @@ def run_grid(config: ExperimentConfig, out_dir) -> dict:
         except (ValueError, RuntimeError) as exc:
             failed.append({"cell": _cell_name(*cell), "error": str(exc)})
 
-    def one(cell, seed):
-        """The run's trace, or the exception that stopped it."""
-        algo, m, T, c = cell
-        run_algo, hp, sched = plans[cell]
-        account = PrivacyAccount(config.epsilon, hp.T, obj.n, hp.m)
+    def one_group(seed, cells):
+        """{(cell, seed): the run's trace, or the exception that stopped it}
+        for cells run as one group on one seed."""
+        runs = []
+        for cell in cells:
+            run_algo, hp, sched = plans[cell]
+            runs.append((run_algo, hp, sched, PrivacyAccount(config.epsilon, hp.T, obj.n, hp.m)))
         try:
-            trace = run(run_algo, obj, hp, sched, account, RngStream(seed), x0, fstar)
+            results = run_group(obj, runs, RngStream(seed), x0, fstar)
         except (ValueError, RuntimeError, ArithmeticError) as exc:
-            # an overspent budget or a numeric failure: recorded, not fatal
-            return exc
-        trace.meta["grid"] = {"algorithm": algo, "m": m, "T": T, "c": float(c)}
-        trace.meta["objective"] = config.objective_tag
-        trace.to_csv(traces_dir / (_cell_name(algo, m, T, c, seed) + ".csv"))
-        return trace
+            # an error in the group's shared step: recorded for each of its runs, not fatal
+            results = [exc] * len(cells)
+        for (algo, m, T, c), trace in zip(cells, results):
+            if isinstance(trace, Trace):
+                trace.meta["grid"] = {"algorithm": algo, "m": m, "T": T, "c": float(c)}
+                trace.meta["objective"] = config.objective_tag
+                trace.to_csv(traces_dir / (_cell_name(algo, m, T, c, seed) + ".csv"))
+        return {(cell, seed): result for cell, result in zip(cells, results)}
 
+    # The runs of one (m, seed) draw the same subsamples and Laplace uniforms
+    # while each schedule has b_t > 0, so they run as one lockstep group; a
+    # run with a noiseless step would skip a draw, and runs alone.
     tasks = [(cell, seed) for cell in plans for seed in seeds]
+    groups = {}
+    for cell, seed in tasks:
+        key = (cell[1], seed) if np.all(plans[cell][2].b > 0) else (cell, seed)
+        groups.setdefault(key, (seed, []))[1].append(cell)
+    results = {}
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        results = list(pool.map(lambda ts: one(*ts), tasks))
+        for done in pool.map(lambda group: one_group(*group), groups.values()):
+            results.update(done)
 
     traces = []
-    for (cell, seed), result in zip(tasks, results):
+    for cell, seed in tasks:
+        result = results[(cell, seed)]
         if isinstance(result, Trace):
             traces.append(result)
         else:

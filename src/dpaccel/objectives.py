@@ -2,10 +2,16 @@
 
 LogisticObjective gives the optimizers full and minibatch mean gradients,
 its strong-convexity and smoothness constants, and an L1 bound on how much
-one record can move a single per-record gradient.  Objective values come in
-one vectorised form, ``values(X)`` over the rows of a (k, d) array; the
-optimizers log suboptimality by evaluating a whole run's iterates in one
-call after the run, and ``value(x)`` is ``values(x[None])[0]``.
+one record can move a single per-record gradient.  It keeps one n x d
+matrix, the label-signed rows -z_i u_i, so a margin's negation and a
+gradient's label weights need no pass of their own; since round-to-nearest
+is symmetric under negation, every value and gradient has the bits of the
+unsigned formulas.  A minibatch gradient is taken at one point or at each
+row of a (k, d) block, whose rows are bitwise the one-point calls.
+Objective values come in one vectorised form, ``values(X)`` over the rows
+of a (k, d) array; the optimizers log suboptimality by evaluating a whole
+run's iterates in one call after the run, and ``value(x)`` is
+``values(x[None])[0]``.
 """
 
 from __future__ import annotations
@@ -17,10 +23,11 @@ import numpy as np
 from ._table import read_sidecar, read_table, write_table
 from .privacy_core import RngStream
 
-# Elements of the (rows, n) margin block LogisticObjective.values works on:
-# large enough that each block is one GEMM, small enough (512 KiB) that the
-# block and its one temporary stay out of peak memory.  A block holds at
-# least one row, so above n = 2^16 a block is a single row.
+# Elements of the (rows, n) margin block LogisticObjective.values works on
+# (one GEMM a block), and of the (rows, m) margin block of a block minibatch
+# gradient (one sigmoid pass a block): large enough to amortise each call,
+# small enough (512 KiB) that a block and its one temporary stay out of peak
+# memory.  A block holds at least one row, so above 2^16 a block is one row.
 _VALUES_BLOCK = 1 << 16
 
 # LogisticObjective.values caps |s| here before exp.  exp(-|s|) is subnormal
@@ -39,14 +46,16 @@ _SOFTPLUS_CAP = 700.0
 _SIGMOID_EXP_FLOOR = -40.0
 
 
-def _sigmoid(x):
+def _sigmoid(x, out=None):
     """The logistic function 1 / (1 + e^-x), elementwise; scalar in, scalar out.
 
-    Where e^-x overflows (x < -709.78) the result is exactly 0, with no
-    warning, as from scipy.special.expit.
+    With out given (it may be x) the result is written there.  Where e^-x
+    overflows (x < -709.78) the result is exactly 0, with no warning, as
+    from scipy.special.expit.
     """
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(np.maximum(np.negative(x), _SIGMOID_EXP_FLOOR)))
+        e = np.exp(np.maximum(np.negative(x, out=out), _SIGMOID_EXP_FLOOR, out=out), out=out)
+        return np.divide(1.0, np.add(1.0, e, out=out), out=out)
 
 
 @dataclass
@@ -134,16 +143,17 @@ class LogisticObjective:
 
     Strong convexity constant is 2*lam from the ridge term; smoothness uses
     the top eigenvalue of (1/n) U^T U + 2*lam*I.
-    One record's gradient is z u sigmoid(-z u^T x) + ridge; swapping a record
-    moves the per-record gradient by at most 2*u_max in L1 (the ridge part
-    cancels), so the mean gradient moves by at most 2*u_max / m.
+    One record's gradient is -z u sigmoid(-z u^T x) + ridge; swapping a
+    record moves the per-record gradient by at most 2*u_max in L1 (the ridge
+    part cancels), so the mean gradient moves by at most 2*u_max / m.
+    With A the (n, d) rows -z_i u_i, the loss is the softplus of A x and a
+    record's gradient is a_i sigmoid(a_i^T x) + ridge.
     """
 
     def __init__(self, dataset: Dataset, lam: float):
         if not 0 < lam < np.inf:
             raise ValueError(f"ridge weight must be finite and positive, got {lam}")
-        self.U = dataset.U
-        self.z = dataset.z
+        self.A = -dataset.z[:, None] * dataset.U
         self.lam = float(lam)
         self.n = dataset.n
         self.d = dataset.d
@@ -151,9 +161,8 @@ class LogisticObjective:
         self.mu = 2.0 * self.lam
         # Deliberately the plain spectral bound, not the tighter quarter-scaled
         # logistic Hessian bound: stepsize rules elsewhere assume it.
-        M = self.U.T @ self.U / self.n + 2.0 * self.lam * np.eye(self.d)
+        M = self.A.T @ self.A / self.n + 2.0 * self.lam * np.eye(self.d)
         self.L = float(np.linalg.eigvalsh(M)[-1])
-        self._neg_z = -self.z
 
     def value(self, x: np.ndarray) -> float:
         return float(self.values(np.asarray(x, dtype=float)[None])[0])
@@ -163,7 +172,7 @@ class LogisticObjective:
 
         The loss term is the stable softplus of the margins:
         log(1 + exp(-s)) = max(-s, 0) + log1p(exp(-|s|)), computed in place
-        on blocks of rows of -z * (X U^T), with |s| capped at _SOFTPLUS_CAP.
+        on blocks of rows of X A^T = -s, with |s| capped at _SOFTPLUS_CAP.
         Each row is summed along its contiguous axis, so numpy adds it
         pairwise.
         """
@@ -172,8 +181,7 @@ class LogisticObjective:
         rows = max(1, _VALUES_BLOCK // self.n)
         for lo in range(0, len(X), rows):
             B = X[lo:lo + rows]
-            S = B @ self.U.T
-            S *= self._neg_z  # -s, the argument of the softplus
+            S = B @ self.A.T  # -s, the argument of the softplus
             tail = np.abs(S)
             np.minimum(tail, _SOFTPLUS_CAP, out=tail)
             np.negative(tail, out=tail)
@@ -188,14 +196,34 @@ class LogisticObjective:
         return self.minibatch_gradient(x, None)
 
     def minibatch_gradient(self, x: np.ndarray, idx) -> np.ndarray:
-        """Mean gradient over the records in idx (idx=None means all)."""
-        if idx is None:
-            U, z = self.U, self.z
-        else:
-            U, z = self.U[idx], self.z[idx]
-        s = z * (U @ x)
-        w = z * _sigmoid(-s)
-        return -(U.T @ w) / len(z) + 2.0 * self.lam * x
+        """Mean gradient over the records in idx (idx=None means all), at the
+        point x or at each row of a (k, d) block x.
+
+        The records' rows are gathered once.  A block takes one GEMV per row
+        in each direction, never a GEMM, whose bits differ from GEMV's and
+        from one batch size to another; so row j is bitwise the call at x[j].
+        The sigmoid runs on blocks of _VALUES_BLOCK elements.
+        """
+        A = self.A if idx is None else self.A[idx]
+        m = len(A)
+        if np.ndim(x) == 1:
+            s = A @ x
+            return (A.T @ _sigmoid(s, out=s)) / m + 2.0 * self.lam * x
+        X = np.asarray(x, dtype=float)
+        G = np.empty_like(X)
+        rows = max(1, _VALUES_BLOCK // m)
+        S = np.empty((min(rows, len(X)), m))
+        for lo in range(0, len(X), rows):
+            chunk = X[lo:lo + rows]
+            s = S[:len(chunk)]
+            for x_j, s_j in zip(chunk, s):
+                np.matmul(A, x_j, out=s_j)
+            _sigmoid(s, out=s)
+            for s_j, g_j in zip(s, G[lo:lo + rows]):
+                np.matmul(A.T, s_j, out=g_j)
+        G /= m
+        G += 2.0 * self.lam * X
+        return G
 
     def sensitivity_bound(self) -> float:
         return 2.0 * self.u_max

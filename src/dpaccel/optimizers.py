@@ -19,6 +19,11 @@ last iterate of the stage before.  Gradient noise scales come from a
 NoiseSchedule; every release's leak is charged to a PrivacyAccount as it
 happens.  Every per-step cost is O(1) in the step index; the logged
 objective is evaluated once, over all iterates, after the loop.
+
+run_group steps runs that share a stream and a subsample size in lockstep:
+one subsample and one Laplace uniform draw per step serve the whole group,
+and one block gradient call gives every run its gradient.  Each run keeps
+the bits it gets alone; run() is run_group on a group of one.
 """
 
 from __future__ import annotations
@@ -148,21 +153,23 @@ def run(
     x0: np.ndarray,
     fstar: float,
 ) -> Trace:
-    """Run one private optimization and return its trace.
+    """Run one private optimization and return its trace: run_group on a
+    group of one, raising the exception that stopped the run.
 
     Per iteration: draw the subsample (only when m < n), form
     y = (1 + beta) x - beta x_prev, take the mean gradient g at x (dp-gd,
     dp-hb; at beta = 0, y == x) or at y (dp-nag, dp-masg), add Laplace(b_t)
     noise, charge eps_t to the account, step to y - alpha g, and store the
-    iterate in a preallocated (T+1, d) array.  dp-hb's iterates differ in
-    their last bits from x - alpha g + beta (x - x_prev), the same step
-    rounded otherwise.  After the loop, subopt = obj.values(iterates) - fstar
-    in one vectorised call; meta["wall_time"] includes it.  The trace has
-    T+1 rows; row 0 is the initial point with zero leak.
+    iterate.  dp-hb's iterates differ in their last bits from
+    x - alpha g + beta (x - x_prev), the same step rounded otherwise.  After
+    the loop, subopt = obj.values(iterates) - fstar in one vectorised call on
+    the (T+1, d) iterates; meta["wall_time"] includes it.  The trace has T+1
+    rows; row 0 is the initial point with zero leak.  A run whose iterate
+    goes non-finite stops there with FloatingPointError.
 
     From obj, run reads n and d, calls minibatch_gradient(x, idx) once per
-    iteration (idx=None when m = n), and calls values(X) once on the
-    (T+1, d) iterates.
+    iteration on the 1-d query point (idx=None when m = n), and calls
+    values(X) once on the (T+1, d) iterates.
 
     Every stage of hp runs at its own (alpha, beta); dp-gd, dp-hb and dp-nag
     take one stage, dp-gd with beta = 0.  dp-masg's plan (masg_stage_schedule)
@@ -175,15 +182,22 @@ def run(
     factor 2 in the allocator's weights (budget_allocator.masg_coefficients)
     assumes the restart.
     """
+    (result,) = run_group(obj, [(algorithm, hp, schedule, account)], rng, x0, fstar)
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _check(obj, algorithm, hp, schedule, account, x0, fstar) -> None:
+    """Refuse a run that run_group cannot carry out as planned."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     if algorithm != "dp-masg" and len(hp.stages) > 1:
         raise ValueError(f"{algorithm} runs one stage, got {len(hp.stages)}")
     if algorithm == "dp-gd" and any(beta for _, _, beta in hp.stages):
         raise ValueError("dp-gd runs without momentum, got a stage with beta > 0")
-    T = hp.T
-    if len(schedule) != T:
-        raise ValueError(f"schedule length {len(schedule)} != T = {T}")
+    if len(schedule) != hp.T:
+        raise ValueError(f"schedule length {len(schedule)} != T = {hp.T}")
     if hp.m > obj.n:
         raise ValueError(f"subsample size {hp.m} exceeds n = {obj.n}")
     if not np.isfinite(fstar):
@@ -193,49 +207,125 @@ def run(
             f"schedule leaks {schedule.total_epsilon:.6g} but the account only has "
             f"{account.remaining:.6g} left"
         )
-    x = np.asarray(x0, dtype=float).copy()
-    if x.shape != (obj.d,):
-        raise ValueError(f"x0 must have shape ({obj.d},), got {x.shape}")
+    if np.shape(x0) != (obj.d,):
+        raise ValueError(f"x0 must have shape ({obj.d},), got {np.shape(x0)}")
 
-    lookahead = algorithm in ("dp-nag", "dp-masg")
-    n, m, d = obj.n, hp.m, obj.d
-    subsampled = m < n
-    subsample, gradient, spend = rng.subsample, obj.minibatch_gradient, account.spend
-    b, eps = schedule.b, schedule.eps
+
+def run_group(obj, runs, rng: RngStream, x0: np.ndarray, fstar: float) -> list:
+    """Run plans that share m, the stream, x0 and fstar in lockstep.
+
+    runs is a list of (algorithm, hp, schedule, account), each as run()
+    takes them.  Returns, in order, each run's Trace or the exception that
+    stopped it: the ValueError of a refused plan or an overspent account, or
+    FloatingPointError("diverged at step t") for the first step t whose
+    iterate is not finite.  A stopped run leaves the group; the others run
+    on, and a run leaves at its last step.
+
+    Each step makes the group's draws once: the subsample when m < n, then
+    one random(d) whose Laplace transform gives every run its noise.  The
+    runs must share m, and in a group of two or more every run must have
+    b_t > 0 at every step (a lone run skips the draw where b_t = 0), or
+    run_group raises ValueError; so each run draws what it draws alone,
+    step for step.  The
+    subsample's rows are gathered once, for a block gradient over the runs'
+    query points (the 1-d call for a lone run), each row bitwise the run's
+    own call.  Every other operation is run()'s, elementwise on a row per
+    run, so each run's trace has the bits it gets alone.
+    """
+    results = [None] * len(runs)
+    for i, plan in enumerate(runs):
+        try:
+            _check(obj, *plan, x0, fstar)
+        except ValueError as exc:
+            results[i] = exc
+    live = [i for i, result in enumerate(results) if result is None]
+    if not live:
+        return results
+    plans = [runs[i] for i in live]
+    if len({hp.m for _, hp, _, _ in plans}) > 1:
+        raise ValueError("the runs of a group must share one subsample size m")
+    if len(plans) > 1 and not all(np.all(schedule.b > 0) for _, _, schedule, _ in plans):
+        raise ValueError("the runs of a group must all draw noise at every step")
+    n, d, m, k = obj.n, obj.d, plans[0][1].m, len(plans)
+    Ts = np.array([hp.T for _, hp, _, _ in plans])
+    T_max = int(Ts.max())
+
+    # b_t per step and run, zero after the run's last step, and the
+    # (run, alpha, beta) of each stage under the step it starts at
+    b = np.zeros((T_max, k))
+    stage_starts = {}
+    for p, (_, hp, schedule, _) in enumerate(plans):
+        first = 0
+        for length, alpha_s, beta_s in hp.stages:
+            stage_starts.setdefault(first, []).append((p, alpha_s, beta_s))
+            first += length
+        b[:first, p] = schedule.b
+    lookahead = np.array([[algorithm in ("dp-nag", "dp-masg")] for algorithm, *_ in plans])
+    spends = [account.spend for *_, account in plans]
+    eps = [schedule.eps for _, _, schedule, _ in plans]
+    gradient = obj.minibatch_gradient
 
     start = time.perf_counter()
-    iterates = np.empty((T + 1, d))
-    eps_cum = np.empty(T + 1)
-    iterates[0] = x
-    eps_cum[0] = 0.0
+    X = np.tile(np.asarray(x0, dtype=float), (k, 1))
+    x_prev = X
+    iterates = [np.empty((T + 1, d)) for T in Ts]
+    eps_cum = [np.zeros(T + 1) for T in Ts]
+    for trajectory in iterates:
+        trajectory[0] = X[0]
+    alpha, beta, one_plus = np.zeros((3, k, 1))  # each active run's stage
+    rows = np.arange(k)  # the active runs, as positions in live
+    active, ends = rows.tolist(), set(Ts.tolist())
+    stopped, newly_stopped = np.zeros(k, dtype=bool), False
+    # a diverging run overflows on its way to the non-finite iterate that stops it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(T_max):
+            if newly_stopped or t in ends:
+                keep = (Ts[rows] > t) & ~stopped[rows]
+                rows, X, x_prev, b = rows[keep], X[keep], x_prev[keep], b[:, keep]
+                alpha, beta, one_plus = alpha[keep], beta[keep], one_plus[keep]
+                lookahead = lookahead[keep]
+                active, newly_stopped = rows.tolist(), False
+                if not active:
+                    break
+            for p, alpha_s, beta_s in stage_starts.get(t, ()):
+                if p in active:  # not stopped
+                    j = active.index(p)
+                    alpha[j], beta[j], one_plus[j] = alpha_s, beta_s, 1.0 + beta_s
+                    x_prev[j] = X[j]  # the stage starts at rest
+            idx = rng.subsample(n, m) if m < n else None
+            y = one_plus * X - beta * x_prev
+            q = np.where(lookahead, y, X)
+            g = gradient(q if len(q) > 1 else q[0], idx).reshape(q.shape)
+            if b[t, 0] > 0:  # for every run, in a group of two or more
+                g = g + laplace_sample(rng, b[t], d)
+            x_prev, X = X, y - alpha * g
+            for p, x in zip(active, X):
+                try:
+                    eps_cum[p][t + 1] = spends[p](eps[p][t])
+                except ValueError as exc:
+                    results[live[p]], stopped[p], newly_stopped = exc, True, True
+                iterates[p][t + 1] = x
+            if not np.isfinite(X).all():
+                for p, finite in zip(active, np.isfinite(X).all(axis=1)):
+                    if not (finite or stopped[p]):
+                        results[live[p]] = FloatingPointError(f"diverged at step {t + 1}")
+                        stopped[p], newly_stopped = True, True
 
-    # each stage starts with no momentum (x_{-1} = x_0)
-    first = 0
-    for length, alpha_s, beta_s in hp.stages:
-        x_prev = x
-        one_plus = 1.0 + beta_s
-        for t in range(first, first + length):
-            idx = subsample(n, m) if subsampled else None
-            y = one_plus * x - beta_s * x_prev
-            g = gradient(y if lookahead else x, idx)
-            b_t = b[t]
-            if b_t > 0:
-                g = g + laplace_sample(rng, b_t, d)
-            eps_cum[t + 1] = spend(eps[t])
-            x_prev, x = x, y - alpha_s * g
-            iterates[t + 1] = x
-        first += length
-
-    subopt = obj.values(iterates) - fstar
-    meta = {
-        "algorithm": algorithm,
-        "stages": [list(stage) for stage in hp.stages],
-        "m": hp.m,
-        "T": T,
-        "seed": rng.seed,
-        "schedule": schedule.provenance,
-        "epsilon_total": account.epsilon_total,
-        "fstar": fstar,
-        "wall_time": time.perf_counter() - start,
-    }
-    return Trace(t=np.arange(T + 1), subopt=subopt, eps_cum=eps_cum, meta=meta)
+    for p, (algorithm, hp, schedule, account) in enumerate(plans):
+        if stopped[p]:
+            continue
+        subopt = obj.values(iterates[p]) - fstar
+        meta = {
+            "algorithm": algorithm,
+            "stages": [list(stage) for stage in hp.stages],
+            "m": hp.m,
+            "T": hp.T,
+            "seed": rng.seed,
+            "schedule": schedule.provenance,
+            "epsilon_total": account.epsilon_total,
+            "fstar": fstar,
+            "wall_time": time.perf_counter() - start,
+        }
+        results[live[p]] = Trace(t=np.arange(hp.T + 1), subopt=subopt, eps_cum=eps_cum[p],
+                                 meta=meta)
+    return results

@@ -65,27 +65,31 @@ class RngStream:
         return self._generator().choice(n, size=m, replace=False)
 
 
-def laplace_sample(rng: RngStream, b: float, d: int) -> np.ndarray:
+def laplace_sample(rng: RngStream, b, d: int) -> np.ndarray:
     """Draw a d-vector of iid Laplace(0, b) noise by inverse CDF.
 
     The noise transforms one ``rng.random(d)`` draw, the stream's next.
+    Given a vector of k scales, it returns one row per scale from that one
+    draw, each bitwise the noise a scalar call with that scale returns.
 
     Args:
       rng: stream to draw from.
-      b: scale; the density is exp(-|x|/b) / (2b).  Must be positive.
+      b: scale, or a 1-d array of scales; the density is
+        exp(-|x|/b) / (2b).  Each must be positive and finite.
       d: dimension, at least 1.
 
     Returns:
-      Array of shape (d,).
+      Array of shape (d,), or (k, d) for k scales.
     """
-    if not math.isfinite(b) or b <= 0:
+    b = np.asarray(b, dtype=float)
+    if not ((b > 0) & (b < np.inf)).all():
         raise ValueError(f"Laplace scale must be positive and finite, got {b}")
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     u = rng.random(int(d)) - 0.5
     # u = -0.5 would hit log(0); remap that single lattice point.
     u[u == -0.5] = 0.0
-    return -b * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+    return -b[..., None] * np.sign(u) * np.log1p(-2.0 * np.abs(u))
 
 
 def epsilon_of(S: float, b: float, n: int, m: int) -> float:

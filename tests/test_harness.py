@@ -440,17 +440,18 @@ def test_run_grid_records_failed_cells(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_run_grid_records_failed_runs(tmp_path, monkeypatch, workers):
-    real = harness.run
+    real = harness.run_group
     cfg = tiny_config(algorithms=("dp-gd", "dp-hb"), m_values=(40,), T_values=(5,),
                       replicates=3, workers=workers)
     bad = cfg.seed_list[1]
 
-    def flaky(algo, obj, hp, sched, account, rng, *args, **kwargs):
-        if algo == "dp-hb" and rng.seed == bad:
-            raise FloatingPointError("diverged")
-        return real(algo, obj, hp, sched, account, rng, *args, **kwargs)
+    def flaky(obj, runs, rng, *args, **kwargs):
+        # the dp-hb run of seed `bad` fails inside its (m, seed) group
+        results = real(obj, runs, rng, *args, **kwargs)
+        return [FloatingPointError("diverged") if algo == "dp-hb" and rng.seed == bad else r
+                for (algo, *_), r in zip(runs, results)]
 
-    monkeypatch.setattr(harness, "run", flaky)
+    monkeypatch.setattr(harness, "run_group", flaky)
     summary = run_grid(cfg, tmp_path / "out")
     assert summary["failed"] == [{"cell": "dp-hb_40_5_0.5", "seed": bad, "error": "diverged"}]
     seeds = {r["algorithm"]: r["n_seeds"] for r in summary["records"]}
@@ -458,7 +459,8 @@ def test_run_grid_records_failed_runs(tmp_path, monkeypatch, workers):
     assert len(list((tmp_path / "out" / "traces").glob("*.csv"))) == 5
 
 
-@pytest.mark.parametrize("stage", ["plan_cell", "run"])
+# the run stage is the lockstep runner run_grid calls, kept under the id "run"
+@pytest.mark.parametrize("stage", ["plan_cell", pytest.param("run_group", id="run")])
 def test_run_grid_keeps_failures_when_nothing_finishes(tmp_path, monkeypatch, stage):
     def fail(*args, **kwargs):
         raise ValueError("boom")

@@ -5,7 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
+from dpaccel.harness import ExperimentConfig, build_objective
 from dpaccel.objectives import (
+    _SOFTPLUS_CAP,
+    _VALUES_BLOCK,
     Dataset,
     LogisticObjective,
     _sigmoid,
@@ -127,7 +130,7 @@ def test_logistic_value_known_point():
     assert obj.value(np.zeros(2)) == pytest.approx(np.log(2.0))
     # and the ridge term adds lam ||x||^2
     x = np.array([1.0, 2.0])
-    plain = np.mean(np.logaddexp(0.0, -obj.z * (obj.U @ x)))
+    plain = np.mean(np.logaddexp(0.0, -data.z * (data.U @ x)))
     assert obj.value(x) == pytest.approx(plain + 0.5 * 5.0)
 
 
@@ -135,10 +138,11 @@ def test_logistic_value_known_point():
 def test_logistic_values_match_logaddexp_at_large_margins(n):
     # n = 3000 spreads 50 rows over several blocks; n = 70_000 makes every
     # block a single row.  Iterate scales up to 100 push |s| to about 10^3.
-    obj = LogisticObjective(generate_synthetic(5, n, 10.0, 1), lam=0.01)
+    data = generate_synthetic(5, n, 10.0, 1)
+    obj = LogisticObjective(data, lam=0.01)
     rng = np.random.default_rng(0)
     X = rng.uniform(-1.0, 1.0, (50, 5)) * np.logspace(-2, 2, 50)[:, None]
-    s = obj.z * (X @ obj.U.T)
+    s = data.z * (X @ data.U.T)
     assert np.abs(s).max() > 500.0
     ref = np.logaddexp(0.0, -s).mean(axis=1) + obj.lam * (X**2).sum(axis=1)
     got = obj.values(X)
@@ -146,9 +150,9 @@ def test_logistic_values_match_logaddexp_at_large_margins(n):
     np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
 
 
-def uncapped_values(obj, X):
+def uncapped_values(obj, data, X):
     """F by the stable softplus with no cap on |s|, each row summed pairwise."""
-    s = obj.z * (X @ obj.U.T)
+    s = data.z * (X @ data.U.T)
     with np.errstate(under="ignore"):
         loss = np.maximum(-s, 0.0) + np.log1p(np.exp(-np.abs(s)))
     return loss.sum(axis=1) / obj.n + obj.lam * np.einsum("ij,ij->i", X, X)
@@ -157,22 +161,24 @@ def uncapped_values(obj, X):
 def test_logistic_values_exact_at_underflowing_margins():
     # Margins of both signs reach |s| from 700 to 10^4, where exp(-|s|) is
     # subnormal or zero.  values caps |s| before exp; F must keep every bit.
-    obj = LogisticObjective(generate_synthetic(5, 3000, 10.0, 4), lam=0.01)
+    data = generate_synthetic(5, 3000, 10.0, 4)
+    obj = LogisticObjective(data, lam=0.01)
     rng = np.random.default_rng(5)
     X = rng.choice([-1.0, 1.0], (40, 5)) * np.logspace(np.log10(150.0), 3.0, 40)[:, None]
-    s = obj.z * (X @ obj.U.T)
+    s = data.z * (X @ data.U.T)
     big = np.abs(s) >= 700.0
     assert (s[big] > 745.0).any() and (s[big] < -745.0).any()
     assert big.mean() > 0.3 and np.abs(s).max() > 9e3
-    assert np.array_equal(obj.values(X), uncapped_values(obj, X))
+    assert np.array_equal(obj.values(X), uncapped_values(obj, data, X))
 
     # Separable labels and a tiny ridge: every margin is positive and F is
     # 0.01 to 0.08, so a cap as low as 40 would already move F by ulps.
     data = generate_synthetic(5, 3000, 10.0, 4)
     z = np.sign(data.U @ data.x_true)
-    obj = LogisticObjective(Dataset(U=data.U, z=z, u_max=10.0), lam=1e-6)
+    separable = Dataset(U=data.U, z=z, u_max=10.0)
+    obj = LogisticObjective(separable, lam=1e-6)
     X = np.outer(np.linspace(2.0, 40.0, 20), data.x_true)
-    assert np.array_equal(obj.values(X), uncapped_values(obj, X))
+    assert np.array_equal(obj.values(X), uncapped_values(obj, separable, X))
 
 
 def test_value_is_first_row_of_values():
@@ -183,6 +189,69 @@ def test_value_is_first_row_of_values():
         got = obj.value(x)
         assert isinstance(got, float)
         assert got == obj.values(x[None])[0]
+
+
+def unfolded_gradient(data, lam, x, idx):
+    """The mean gradient from U and z, with the margins' signs applied as
+    passes of their own: z * (U @ x) and -(U.T @ w) / m."""
+    U, z = (data.U, data.z) if idx is None else (data.U[idx], data.z[idx])
+    s = z * (U @ x)
+    w = z * _sigmoid(-s)
+    return -(U.T @ w) / len(z) + 2.0 * lam * x
+
+
+def unfolded_values(data, lam, X):
+    """values() from U and z, on the same row blocks, with S *= -z."""
+    n = len(data.z)
+    out = np.empty(len(X))
+    rows = max(1, _VALUES_BLOCK // n)
+    for lo in range(0, len(X), rows):
+        S = X[lo:lo + rows] @ data.U.T
+        S *= -data.z
+        tail = np.log1p(np.exp(-np.minimum(np.abs(S), _SOFTPLUS_CAP)))
+        out[lo:lo + rows] = (np.maximum(S, 0.0) + tail).sum(axis=1) / n
+    return out + lam * np.einsum("ij,ij->i", X, X)
+
+
+@pytest.mark.parametrize("n", [3000, 70_000])
+def test_label_fold_is_bitwise_the_unfolded_formulas(n):
+    # LogisticObjective keeps the rows -z_i u_i in place of U and z; since
+    # round-to-nearest is symmetric under negation, every gradient and value
+    # keeps its bits.  x = 0 puts every margin at 0; the other points put
+    # record 0's margin at +-40, +-700, +-745.2 (where exp(-|s|) underflows
+    # to zero) and +-1e4.
+    data = generate_synthetic(5, n, 10.0, 2)
+    obj = LogisticObjective(data, lam=0.01)
+    u = data.U[0]
+    targets = np.array([40.0, 700.0, 745.2, 1e4])
+    X = np.vstack([np.zeros(5), np.outer(np.concatenate([targets, -targets]) * data.z[0],
+                                         u / (u @ u))])
+    s = data.z * (X @ data.U.T)
+    np.testing.assert_allclose(s[1:, 0], np.concatenate([targets, -targets]), rtol=1e-12)
+    assert np.all(s[0] == 0.0) and (np.abs(s) > 745.2).mean() > 0.1
+    idx = np.random.default_rng(0).choice(n, n // 10, replace=False)
+    for x in X:
+        for rows in (None, idx):
+            want = unfolded_gradient(data, obj.lam, x, rows)
+            assert obj.minibatch_gradient(x, rows).tobytes() == want.tobytes()
+    assert obj.values(X).tobytes() == unfolded_values(data, obj.lam, X).tobytes()
+
+
+@pytest.mark.parametrize("m", [1000, 10_000])
+def test_block_gradient_rows_are_one_point_calls(m):
+    # the desk objective at m < n and at m = n: each row of a (k, d) block,
+    # at any position in the block, has the bits of the 1-d call at that row
+    obj = build_objective(ExperimentConfig())
+    rng = np.random.default_rng(m)
+    idx = rng.choice(obj.n, m, replace=False) if m < obj.n else None
+    points = rng.normal(size=(24, obj.d)) * np.logspace(-2, 1, 24)[:, None]
+    for shift in (0, 5, 17):
+        X = np.roll(points, shift, axis=0)
+        ones = np.array([obj.minibatch_gradient(x, idx) for x in X])
+        for k in (1, 2, 7, 24):
+            block = obj.minibatch_gradient(X[:k], idx)
+            assert block.shape == (k, obj.d)
+            assert block.tobytes() == ones[:k].tobytes(), (shift, k)
 
 
 def test_logistic_gradient_finite_differences():
@@ -259,7 +328,7 @@ def test_logistic_sensitivity_bound_holds():
 def test_logistic_smoothness_constant():
     data = generate_synthetic(5, 60, 4.0, 5)
     obj = LogisticObjective(data, lam=0.05)
-    M = obj.U.T @ obj.U / obj.n + 2 * obj.lam * np.eye(obj.d)
+    M = data.U.T @ data.U / obj.n + 2 * obj.lam * np.eye(obj.d)
     assert obj.L == pytest.approx(np.linalg.eigvalsh(M)[-1], rel=1e-6)
     assert obj.mu == 2 * obj.lam
     for lam in (0.0, np.nan, np.inf):
@@ -288,8 +357,9 @@ def test_logistic_L_is_top_eigenvalue():
     rng = np.random.default_rng(5)
     for seed in range(10):
         d, n = int(rng.integers(1, 12)), int(rng.integers(2, 200))
-        obj = small_logistic(seed=seed, d=d, n=n, lam=float(rng.uniform(1e-3, 1.0)))
-        M = obj.U.T @ obj.U / obj.n + 2 * obj.lam * np.eye(obj.d)
+        data = generate_synthetic(d, n, 4.0, seed)
+        obj = LogisticObjective(data, lam=float(rng.uniform(1e-3, 1.0)))
+        M = data.U.T @ data.U / obj.n + 2 * obj.lam * np.eye(obj.d)
         assert obj.L == np.linalg.eigvalsh(M)[-1]
         # no Rayleigh quotient of M exceeds it, and some unit vector attains it
         V = rng.normal(size=(50, d))

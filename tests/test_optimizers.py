@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from dpaccel._table import _CSV_CHUNK
+from dpaccel._table import _CSV_CHUNK, read_sidecar
 from dpaccel.cli import _write_bound_csv
 from dpaccel.harness import _write_curve_csvs
 from dpaccel.objectives import Dataset, LogisticObjective, generate_synthetic
@@ -16,6 +16,7 @@ from dpaccel.optimizers import (
     nesterov_momentum,
     polyak_momentum,
     run,
+    run_group,
 )
 from dpaccel.privacy_core import (
     NoiseSchedule,
@@ -272,6 +273,89 @@ def test_run_deterministic_and_seed_sensitive(quadratic):
             np.array([1.0]), obj.fstar)
     assert np.array_equal(a.subopt, b.subopt)
     assert not np.array_equal(a.subopt, c.subopt)
+
+
+def group_plans(obj, m):
+    """(algorithm, hp, schedule) of all four update forms, horizons 30 and
+    60, and a dp-masg plan of three stages, on uniform schedules."""
+    alpha = 0.5 / obj.L
+    nag = nesterov_momentum(alpha, obj.mu)
+    stages = [
+        ("dp-gd", ((60, alpha, 0.0),)),
+        ("dp-hb", ((30, alpha, polyak_momentum(obj.mu, obj.L)),)),
+        ("dp-nag", ((60, alpha, nag),)),
+        ("dp-masg", masg_stage_schedule(obj.mu, obj.L, 0.5, 1, 60)),
+        ("dp-nag", ((30, alpha, nag),)),
+        ("dp-hb", ((60, alpha, polyak_momentum(obj.mu, obj.L)),)),
+    ]
+    assert len(stages[3][1]) == 3
+    return [(algo, HyperParams(m=m, stages=st),
+             uniform_scale(obj.sensitivity_bound(), 1.0, sum(k for k, _, _ in st), obj.n, m))
+            for algo, st in stages]
+
+
+def with_accounts(obj, plans):
+    return [(algo, hp, sched, PrivacyAccount(1.0, hp.T, obj.n, hp.m)) for algo, hp, sched in plans]
+
+
+@pytest.mark.parametrize("m", [60, 200])
+def test_group_writes_the_bytes_of_separate_runs(tmp_path, m):
+    # one lockstep group against each plan run alone on the same seed, at
+    # m < n and at m = n: every trace CSV is byte-equal, and every sidecar
+    # apart from wall_time
+    obj = LogisticObjective(generate_synthetic(4, 200, 5.0, 6), lam=0.05)
+    plans = group_plans(obj, m)
+    x0, fstar = np.array([1.0, -2.0, 0.5, 3.0]), 0.25
+    group = run_group(obj, with_accounts(obj, plans), RngStream(77), x0, fstar)
+    for j, ((algo, hp, sched), trace) in enumerate(zip(plans, group)):
+        alone = run(algo, obj, hp, sched, PrivacyAccount(1.0, hp.T, obj.n, m), RngStream(77),
+                    x0, fstar)
+        trace.to_csv(tmp_path / f"group_{j}.csv")
+        alone.to_csv(tmp_path / f"alone_{j}.csv")
+        assert (tmp_path / f"group_{j}.csv").read_bytes() == (tmp_path / f"alone_{j}.csv").read_bytes()
+        got, want = read_sidecar(tmp_path / f"group_{j}.csv"), read_sidecar(tmp_path / f"alone_{j}.csv")
+        assert got.pop("wall_time") > 0 and want.pop("wall_time") > 0
+        assert got == want
+    # a group shares its subsample and every step's uniforms, so its runs
+    # must share m and draw noise at every step
+    with pytest.raises(ValueError, match="share one subsample size m"):
+        run_group(obj, with_accounts(obj, [plans[0], group_plans(obj, m // 2)[0]]),
+                  RngStream(77), x0, fstar)
+    quiet = (*plans[0][:2], NoiseSchedule(b=np.zeros(60), eps=np.zeros(60)))
+    with pytest.raises(ValueError, match="draw noise at every step"):
+        run_group(obj, with_accounts(obj, [plans[1], quiet]), RngStream(77), x0, fstar)
+
+
+def test_diverged_run_leaves_its_group():
+    # a dp-gd plan at alpha = 1e6 / L blows up; it is reported with the step
+    # of its first non-finite iterate, and every other run of its group keeps
+    # the bits it has without that plan
+    obj = LogisticObjective(generate_synthetic(4, 200, 5.0, 6), lam=0.05)
+    m, T, x0 = 60, 100, np.ones(4)
+    plans = group_plans(obj, m)
+    alpha = 1e6 / obj.L
+    sched = NoiseSchedule(b=np.full(T, 0.5), eps=np.full(T, 0.001))
+    wild = ("dp-gd", HyperParams(m=m, stages=((T, alpha, 0.0),)), sched)
+    mixed = run_group(obj, with_accounts(obj, plans[:2] + [wild] + plans[2:]), RngStream(3),
+                      x0, 0.0)
+    clean = run_group(obj, with_accounts(obj, plans), RngStream(3), x0, 0.0)
+    for got, want in zip(mixed[:2] + mixed[3:], clean):
+        assert got.subopt.tobytes() == want.subopt.tobytes()
+        assert got.eps_cum.tobytes() == want.eps_cum.tobytes()
+
+    # independent replay of x' = x - alpha (g + noise) on the stream's draws
+    rng, x = RngStream(3), x0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, T + 1):
+            g = obj.minibatch_gradient(x, rng.subsample(obj.n, m))
+            x = x - alpha * (g + laplace_sample(rng, sched.b[step - 1], obj.d))
+            if not np.isfinite(x).all():
+                break
+    assert 1 < step < T
+    assert isinstance(mixed[2], FloatingPointError)
+    assert str(mixed[2]) == f"diverged at step {step}"
+    with pytest.raises(FloatingPointError, match=f"^diverged at step {step}$"):
+        run(*wild[:1], obj, *wild[1:], PrivacyAccount(1.0, T, obj.n, m), RngStream(3), x0, 0.0)
 
 
 def test_subopt_is_values_of_iterates(recorded_run):

@@ -56,6 +56,22 @@ def test_laplace_deterministic():
     assert not np.array_equal(a, c)
 
 
+def test_laplace_rows_match_scalar_draws():
+    # k scales take one random(d) draw: row j is bitwise the scalar call's
+    # noise at scale j, and the stream moves on by one draw
+    scales = np.array([1.5, 0.25, 3e-7, 40.0])
+    rows = laplace_sample(RngStream(42), scales, 6)
+    assert rows.shape == (4, 6)
+    for b, row in zip(scales, rows):
+        assert np.array_equal(row, laplace_sample(RngStream(42), b, 6))
+    rng = RngStream(5)
+    laplace_sample(rng, scales, 6)
+    assert rng.counter == 1
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            laplace_sample(RngStream(0), np.array([1.0, bad]), 3)
+
+
 @pytest.mark.parametrize("seed", [0, 9, 2**63 + 12345])
 def test_stream_draws_equal_fresh_philox(seed):
     """A stream's draws are those of one Philox generator keyed by the seed
