@@ -283,14 +283,13 @@ def run_grid(config: ExperimentConfig, out_dir) -> dict:
                 trace.to_csv(traces_dir / (_cell_name(algo, m, T, c, seed) + ".csv"))
         return {(cell, seed): result for cell, result in zip(cells, results)}
 
-    # The runs of one (m, seed) draw the same subsamples and Laplace uniforms
-    # while each schedule has b_t > 0, so they run as one lockstep group; a
-    # run with a noiseless step would skip a draw, and runs alone.
+    # The runs of one (m, seed) draw the same subsamples and Laplace uniforms,
+    # so they run as one lockstep group: every planned schedule went through
+    # epsilon_of, which refuses b_t <= 0, so every run draws at every step.
     tasks = [(cell, seed) for cell in plans for seed in seeds]
     groups = {}
     for cell, seed in tasks:
-        key = (cell[1], seed) if np.all(plans[cell][2].b > 0) else (cell, seed)
-        groups.setdefault(key, (seed, []))[1].append(cell)
+        groups.setdefault((cell[1], seed), (seed, []))[1].append(cell)
     results = {}
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
         for done in pool.map(lambda group: one_group(*group), groups.values()):
@@ -330,7 +329,8 @@ def summarize(traces) -> dict:
     quarter of the memory of lists of Python floats); write_json turns
     them into JSON lists.  Records run in numeric order of (m, T, c) within
     an algorithm.  The comparison table keeps, for each (algorithm, m, c),
-    the best final mean error over T, the smallest such T on a tie.
+    the best final mean error over T, the smallest such T on a tie, and the
+    n_seeds of the cell it picks.
     """
     traces = [Trace.from_csv(p) if isinstance(p, (str, Path)) else p for p in traces]
     if not traces:
@@ -390,6 +390,7 @@ def summarize(traces) -> dict:
                 "c": rec["c"],
                 "best_T": rec["T"],
                 "final_mean_error": rec["final_mean_error"],
+                "n_seeds": rec["n_seeds"],
             }
     return {
         "objective": tags.pop(),
@@ -417,15 +418,17 @@ def _write_curve_csvs(curve_dir: Path, summary: dict) -> None:
 def comparison_table(summary: dict) -> str:
     """Plain-text best-over-T table, one row per (algorithm, m, c).
 
-    A key the traces did not record prints as "-": c, for traces written
-    outside run_grid.
+    The last column counts the seeds the mean covers, fewer than the grid's
+    where runs failed.  A key the traces did not record prints as "-": c,
+    for traces written outside run_grid.
     """
     rows = sorted(
         summary["comparison"].values(),
         key=lambda r: (_numeric_key(r["m"]), _numeric_key(r["c"]), r["algorithm"]),
     )
-    lines = [f"{'algorithm':<14}{'m':>8}{'c':>6}{'best T':>8}{'final mean error':>20}"]
+    lines = [f"{'algorithm':<14}{'m':>8}{'c':>6}{'best T':>8}{'final mean error':>20}{'seeds':>7}"]
     for r in rows:
         m, c, T = ("-" if r[k] is None else r[k] for k in ("m", "c", "best_T"))
-        lines.append(f"{r['algorithm']:<14}{m:>8}{c:>6}{T:>8}{r['final_mean_error']:>20.6g}")
+        lines.append(f"{r['algorithm']:<14}{m:>8}{c:>6}{T:>8}{r['final_mean_error']:>20.6g}"
+                     f"{r['n_seeds']:>7}")
     return "\n".join(lines)

@@ -167,9 +167,9 @@ def run(
     rows; row 0 is the initial point with zero leak.  A run whose iterate
     goes non-finite stops there with FloatingPointError.
 
-    From obj, run reads n and d, calls minibatch_gradient(x, idx) once per
-    iteration on the 1-d query point (idx=None when m = n), and calls
-    values(X) once on the (T+1, d) iterates.
+    From obj, run reads n and d, calls minibatch_gradient(X, idx) once per
+    iteration on the (k, d) block of query points, k >= 1 (k = 1 here;
+    idx=None when m = n), and calls values(X) once on the (T+1, d) iterates.
 
     Every stage of hp runs at its own (alpha, beta); dp-gd, dp-hb and dp-nag
     take one stage, dp-gd with beta = 0.  dp-masg's plan (masg_stage_schedule)
@@ -218,19 +218,19 @@ def run_group(obj, runs, rng: RngStream, x0: np.ndarray, fstar: float) -> list:
     takes them.  Returns, in order, each run's Trace or the exception that
     stopped it: the ValueError of a refused plan or an overspent account, or
     FloatingPointError("diverged at step t") for the first step t whose
-    iterate is not finite.  A stopped run leaves the group; the others run
-    on, and a run leaves at its last step.
+    iterate is not finite.  A stopped run spends and stores nothing more,
+    and the group stops once every run still going is stopped.
 
     Each step makes the group's draws once: the subsample when m < n, then
     one random(d) whose Laplace transform gives every run its noise.  The
     runs must share m, and in a group of two or more every run must have
     b_t > 0 at every step (a lone run skips the draw where b_t = 0), or
     run_group raises ValueError; so each run draws what it draws alone,
-    step for step.  The
-    subsample's rows are gathered once, for a block gradient over the runs'
-    query points (the 1-d call for a lone run), each row bitwise the run's
-    own call.  Every other operation is run()'s, elementwise on a row per
-    run, so each run's trace has the bits it gets alone.
+    step for step.  The runs take rows longest first, so the runs still
+    going are the first j rows, and one gradient call on their (j, d) block
+    of query points gives each row the bits of the run's own call.  Every
+    other operation is run()'s, row by row, so each run's trace has the
+    bits it gets alone.
     """
     results = [None] * len(runs)
     for i, plan in enumerate(runs):
@@ -238,21 +238,21 @@ def run_group(obj, runs, rng: RngStream, x0: np.ndarray, fstar: float) -> list:
             _check(obj, *plan, x0, fstar)
         except ValueError as exc:
             results[i] = exc
-    live = [i for i, result in enumerate(results) if result is None]
-    if not live:
+    order = sorted((i for i, result in enumerate(results) if result is None),
+                   key=lambda i: -runs[i][1].T)
+    if not order:
         return results
-    plans = [runs[i] for i in live]
+    plans = [runs[i] for i in order]
     if len({hp.m for _, hp, _, _ in plans}) > 1:
         raise ValueError("the runs of a group must share one subsample size m")
     if len(plans) > 1 and not all(np.all(schedule.b > 0) for _, _, schedule, _ in plans):
         raise ValueError("the runs of a group must all draw noise at every step")
-    n, d, m, k = obj.n, obj.d, plans[0][1].m, len(plans)
-    Ts = np.array([hp.T for _, hp, _, _ in plans])
-    T_max = int(Ts.max())
+    n, d, m, j = obj.n, obj.d, plans[0][1].m, len(plans)
+    Ts = [hp.T for _, hp, _, _ in plans]
 
-    # b_t per step and run, zero after the run's last step, and the
-    # (run, alpha, beta) of each stage under the step it starts at
-    b = np.zeros((T_max, k))
+    # b_t per step and run, and the (run, alpha, beta) of each stage under
+    # the step it starts at
+    b = np.zeros((Ts[0], j))
     stage_starts = {}
     for p, (_, hp, schedule, _) in enumerate(plans):
         first = 0
@@ -266,50 +266,42 @@ def run_group(obj, runs, rng: RngStream, x0: np.ndarray, fstar: float) -> list:
     gradient = obj.minibatch_gradient
 
     start = time.perf_counter()
-    X = np.tile(np.asarray(x0, dtype=float), (k, 1))
+    X = np.tile(np.asarray(x0, dtype=float), (j, 1))
     x_prev = X
-    iterates = [np.empty((T + 1, d)) for T in Ts]
+    iterates = [np.tile(X[0], (T + 1, 1)) for T in Ts]  # row t + 1 is set at step t
     eps_cum = [np.zeros(T + 1) for T in Ts]
-    for trajectory in iterates:
-        trajectory[0] = X[0]
-    alpha, beta, one_plus = np.zeros((3, k, 1))  # each active run's stage
-    rows = np.arange(k)  # the active runs, as positions in live
-    active, ends = rows.tolist(), set(Ts.tolist())
-    stopped, newly_stopped = np.zeros(k, dtype=bool), False
+    alpha, beta, one_plus = np.zeros((3, j, 1))  # each run's stage
+    stopped = [False] * j
     # a diverging run overflows on its way to the non-finite iterate that stops it
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(T_max):
-            if newly_stopped or t in ends:
-                keep = (Ts[rows] > t) & ~stopped[rows]
-                rows, X, x_prev, b = rows[keep], X[keep], x_prev[keep], b[:, keep]
-                alpha, beta, one_plus = alpha[keep], beta[keep], one_plus[keep]
-                lookahead = lookahead[keep]
-                active, newly_stopped = rows.tolist(), False
-                if not active:
-                    break
+        for t in range(Ts[0]):
+            if t == Ts[j - 1]:  # the shortest runs still going have ended
+                j = sum(T > t for T in Ts)
+                X, x_prev, b, lookahead = X[:j], x_prev[:j], b[:, :j], lookahead[:j]
+                alpha, beta, one_plus = alpha[:j], beta[:j], one_plus[:j]
+            if all(stopped[:j]):
+                break
             for p, alpha_s, beta_s in stage_starts.get(t, ()):
-                if p in active:  # not stopped
-                    j = active.index(p)
-                    alpha[j], beta[j], one_plus[j] = alpha_s, beta_s, 1.0 + beta_s
-                    x_prev[j] = X[j]  # the stage starts at rest
+                alpha[p], beta[p], one_plus[p] = alpha_s, beta_s, 1.0 + beta_s
+                x_prev[p] = X[p]  # the stage starts at rest
             idx = rng.subsample(n, m) if m < n else None
             y = one_plus * X - beta * x_prev
-            q = np.where(lookahead, y, X)
-            g = gradient(q if len(q) > 1 else q[0], idx).reshape(q.shape)
+            g = gradient(np.where(lookahead, y, X), idx)
             if b[t, 0] > 0:  # for every run, in a group of two or more
                 g = g + laplace_sample(rng, b[t], d)
             x_prev, X = X, y - alpha * g
-            for p, x in zip(active, X):
-                try:
-                    eps_cum[p][t + 1] = spends[p](eps[p][t])
-                except ValueError as exc:
-                    results[live[p]], stopped[p], newly_stopped = exc, True, True
-                iterates[p][t + 1] = x
+            for p, x in enumerate(X):
+                if not stopped[p]:
+                    try:
+                        eps_cum[p][t + 1] = spends[p](eps[p][t])
+                        iterates[p][t + 1] = x
+                    except ValueError as exc:
+                        results[order[p]], stopped[p] = exc, True
             if not np.isfinite(X).all():
-                for p, finite in zip(active, np.isfinite(X).all(axis=1)):
+                for p, finite in enumerate(np.isfinite(X).all(axis=1)):
                     if not (finite or stopped[p]):
-                        results[live[p]] = FloatingPointError(f"diverged at step {t + 1}")
-                        stopped[p], newly_stopped = True, True
+                        results[order[p]] = FloatingPointError(f"diverged at step {t + 1}")
+                        stopped[p] = True
 
     for p, (algorithm, hp, schedule, account) in enumerate(plans):
         if stopped[p]:
@@ -326,6 +318,6 @@ def run_group(obj, runs, rng: RngStream, x0: np.ndarray, fstar: float) -> list:
             "fstar": fstar,
             "wall_time": time.perf_counter() - start,
         }
-        results[live[p]] = Trace(t=np.arange(hp.T + 1), subopt=subopt, eps_cum=eps_cum[p],
+        results[order[p]] = Trace(t=np.arange(hp.T + 1), subopt=subopt, eps_cum=eps_cum[p],
                                  meta=meta)
     return results

@@ -109,7 +109,7 @@ class _Quadratic:
         return float(self.values(np.asarray(x, dtype=float)[None])[0])
 
     def full_gradient(self, x):
-        return self.Q @ x + self.q
+        return x @ self.Q + self.q  # at a point or at each row of a block
 
     def minibatch_gradient(self, x, idx):
         return self.full_gradient(x)

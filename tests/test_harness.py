@@ -456,6 +456,9 @@ def test_run_grid_records_failed_runs(tmp_path, monkeypatch, workers):
     assert summary["failed"] == [{"cell": "dp-hb_40_5_0.5", "seed": bad, "error": "diverged"}]
     seeds = {r["algorithm"]: r["n_seeds"] for r in summary["records"]}
     assert seeds == {"dp-gd": 3, "dp-hb": 2}
+    # the table's last column counts the seeds behind each mean
+    rows = {line.split()[0]: line.split()[-1] for line in comparison_table(summary).splitlines()}
+    assert rows["dp-gd"] == "3" and rows["dp-hb"] == "2"
     assert len(list((tmp_path / "out" / "traces").glob("*.csv"))) == 5
 
 

@@ -306,16 +306,27 @@ def test_group_writes_the_bytes_of_separate_runs(tmp_path, m):
     obj = LogisticObjective(generate_synthetic(4, 200, 5.0, 6), lam=0.05)
     plans = group_plans(obj, m)
     x0, fstar = np.array([1.0, -2.0, 0.5, 3.0]), 0.25
-    group = run_group(obj, with_accounts(obj, plans), RngStream(77), x0, fstar)
-    for j, ((algo, hp, sched), trace) in enumerate(zip(plans, group)):
-        alone = run(algo, obj, hp, sched, PrivacyAccount(1.0, hp.T, obj.n, m), RngStream(77),
-                    x0, fstar)
-        trace.to_csv(tmp_path / f"group_{j}.csv")
-        alone.to_csv(tmp_path / f"alone_{j}.csv")
-        assert (tmp_path / f"group_{j}.csv").read_bytes() == (tmp_path / f"alone_{j}.csv").read_bytes()
-        got, want = read_sidecar(tmp_path / f"group_{j}.csv"), read_sidecar(tmp_path / f"alone_{j}.csv")
-        assert got.pop("wall_time") > 0 and want.pop("wall_time") > 0
-        assert got == want
+    alone = [run(algo, obj, hp, sched, PrivacyAccount(1.0, hp.T, obj.n, m), RngStream(77),
+                 x0, fstar) for algo, hp, sched in plans]
+
+    def assert_bytes_of_alone(traces):
+        for j, (trace, want_trace) in enumerate(zip(traces, alone)):
+            got_csv, want_csv = tmp_path / f"group_{j}.csv", tmp_path / f"alone_{j}.csv"
+            trace.to_csv(got_csv)
+            want_trace.to_csv(want_csv)
+            assert got_csv.read_bytes() == want_csv.read_bytes()
+            got, want = read_sidecar(got_csv), read_sidecar(want_csv)
+            assert got.pop("wall_time") > 0 and want.pop("wall_time") > 0
+            assert got == want
+
+    assert_bytes_of_alone(run_group(obj, with_accounts(obj, plans), RngStream(77), x0, fstar))
+    # the plans in reverse, with a refused plan in the middle: the results
+    # come back in input order, and each run still has the bits it has alone
+    refused = ("dp-unknown", *plans[0][1:])
+    mixed = plans[:2:-1] + [refused] + plans[2::-1]
+    back = run_group(obj, with_accounts(obj, mixed), RngStream(77), x0, fstar)
+    assert isinstance(back[3], ValueError) and "unknown algorithm" in str(back[3])
+    assert_bytes_of_alone((back[:3] + back[4:])[::-1])
     # a group shares its subsample and every step's uniforms, so its runs
     # must share m and draw noise at every step
     with pytest.raises(ValueError, match="share one subsample size m"):
@@ -354,8 +365,34 @@ def test_diverged_run_leaves_its_group():
     assert 1 < step < T
     assert isinstance(mixed[2], FloatingPointError)
     assert str(mixed[2]) == f"diverged at step {step}"
+    lone = RngStream(3)
     with pytest.raises(FloatingPointError, match=f"^diverged at step {step}$"):
-        run(*wild[:1], obj, *wild[1:], PrivacyAccount(1.0, T, obj.n, m), RngStream(3), x0, 0.0)
+        run(*wild[:1], obj, *wild[1:], PrivacyAccount(1.0, T, obj.n, m), lone, x0, 0.0)
+    # one subsample and one uniform draw per step up to the divergence, none after
+    assert lone.counter == 2 * step
+
+
+def test_overspent_run_leaves_its_group():
+    # dp-hb (T = 30) and dp-nag (T = 60) each leak 1.0 and share one account
+    # of 1.58: 1.5 is spent when dp-hb ends, and dp-nag's fifth step after
+    # that is refused.  The other runs keep the bits they have with accounts
+    # of their own.
+    obj = LogisticObjective(generate_synthetic(4, 200, 5.0, 6), lam=0.05)
+    m, x0, fstar = 60, np.ones(4), 0.0
+    plans = group_plans(obj, m)
+    shared = PrivacyAccount(1.58, 60, obj.n, m)
+    runs = with_accounts(obj, plans)
+    runs[1], runs[2] = (*plans[1], shared), (*plans[2], shared)
+    got = run_group(obj, runs, RngStream(5), x0, fstar)
+    want = run_group(obj, with_accounts(obj, plans), RngStream(5), x0, fstar)
+    assert isinstance(got[2], ValueError)
+    assert str(got[2]).startswith("budget overrun")
+    assert shared.spent == pytest.approx(1.5 + 4 / 60, abs=1e-12)
+    # dp-hb's eps_cum reads the shared ledger; its iterates are its own
+    assert got[1].subopt.tobytes() == want[1].subopt.tobytes()
+    for j in (0, 3, 4, 5):
+        assert got[j].subopt.tobytes() == want[j].subopt.tobytes()
+        assert got[j].eps_cum.tobytes() == want[j].eps_cum.tobytes()
 
 
 def test_subopt_is_values_of_iterates(recorded_run):
