@@ -7,7 +7,8 @@ matrix, the label-signed rows -z_i u_i, so a margin's negation and a
 gradient's label weights need no pass of their own; since round-to-nearest
 is symmetric under negation, every value and gradient has the bits of the
 unsigned formulas.  A minibatch gradient is taken at one point or at each
-row of a (k, d) block, whose rows are bitwise the one-point calls.
+row of a (k, d) block, on zero-padded tiles of _TILE rows, so a row's bits
+depend only on its point and the records, and a point is a block of one.
 Objective values come in one vectorised form, ``values(X)`` over the rows
 of a (k, d) array; the optimizers log suboptimality by evaluating a whole
 run's iterates in one call after the run, and ``value(x)`` is
@@ -24,11 +25,17 @@ from ._table import read_sidecar, read_table, write_table
 from .privacy_core import RngStream
 
 # Elements of the (rows, n) margin block LogisticObjective.values works on
-# (one GEMM a block), and of the (rows, m) margin block of a block minibatch
-# gradient (one sigmoid pass a block): large enough to amortise each call,
-# small enough (512 KiB) that a block and its one temporary stay out of peak
-# memory.  A block holds at least one row, so above 2^16 a block is one row.
+# (one GEMM a block): large enough to amortise each call, small enough
+# (512 KiB) that a block and its one temporary stay out of peak memory.  A
+# block holds at least one row, so above 2^16 a block is one row.
 _VALUES_BLOCK = 1 << 16
+
+# Rows of a minibatch gradient's backward GEMM tile.  OpenBLAS 0.3.31 takes
+# a GEMV for one row, a small-matrix kernel below about 10^6 multiply-adds
+# and its blocked GEMM above, and a row's bits differ between the three; a
+# fixed, zero-padded tile keeps one kernel for every block size.  The forward
+# GEMM's row bits did not depend on the row count (2 to 128 rows).
+_TILE = 8
 
 # LogisticObjective.values caps |s| here before exp.  exp(-|s|) is subnormal
 # beyond |s| = 708 and zero beyond 745, and there exp and log1p ran 15-70x
@@ -163,6 +170,10 @@ class LogisticObjective:
         # logistic Hessian bound: stepsize rules elsewhere assume it.
         M = self.A.T @ self.A / self.n + 2.0 * self.lam * np.eye(self.d)
         self.L = float(np.linalg.eigvalsh(M)[-1])
+        # values' GEMM packs this faster than the A.T view, with the same bits;
+        # a one-row block is a GEMV, whose bits change with the layout, so it
+        # keeps the view
+        self._At = np.ascontiguousarray(self.A.T)
 
     def value(self, x: np.ndarray) -> float:
         return float(self.values(np.asarray(x, dtype=float)[None])[0])
@@ -181,7 +192,7 @@ class LogisticObjective:
         rows = max(1, _VALUES_BLOCK // self.n)
         for lo in range(0, len(X), rows):
             B = X[lo:lo + rows]
-            S = B @ self.A.T  # -s, the argument of the softplus
+            S = B @ (self._At if len(B) > 1 else self.A.T)  # -s, the softplus argument
             tail = np.abs(S)
             np.minimum(tail, _SOFTPLUS_CAP, out=tail)
             np.negative(tail, out=tail)
@@ -193,37 +204,35 @@ class LogisticObjective:
         return out + self.lam * np.einsum("ij,ij->i", X, X)
 
     def full_gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.minibatch_gradient(x, None)
+        """Mean gradient over all records at the point x, by two GEMVs: the
+        reference optimum takes thousands at set-up, where a padded tile would
+        cost more and move fstar's bits."""
+        s = self.A @ x
+        return (self.A.T @ _sigmoid(s, out=s)) / self.n + 2.0 * self.lam * x
 
     def minibatch_gradient(self, x: np.ndarray, idx) -> np.ndarray:
         """Mean gradient over the records in idx (idx=None means all), at the
         point x or at each row of a (k, d) block x.
 
-        The records' rows are gathered once.  A block takes one GEMV per row
-        in each direction, never a GEMM, whose bits differ from GEMV's and
-        from one batch size to another; so row j is bitwise the call at x[j].
-        The sigmoid runs on blocks of _VALUES_BLOCK elements.
+        The records' rows are gathered once and the points zero-padded to
+        whole tiles of _TILE rows.  The margins are one GEMM over the padded
+        block, the sigmoid runs on the k live rows only (pad rows stay 0),
+        and the backward product is one (_TILE, m) @ (m, d) GEMM per tile.
+        So row j is bitwise the call at x[j], whatever k and j's position.
         """
         A = self.A if idx is None else self.A[idx]
-        m = len(A)
-        if np.ndim(x) == 1:
-            s = A @ x
-            return (A.T @ _sigmoid(s, out=s)) / m + 2.0 * self.lam * x
         X = np.asarray(x, dtype=float)
-        G = np.empty_like(X)
-        rows = max(1, _VALUES_BLOCK // m)
-        S = np.empty((min(rows, len(X)), m))
-        for lo in range(0, len(X), rows):
-            chunk = X[lo:lo + rows]
-            s = S[:len(chunk)]
-            for x_j, s_j in zip(chunk, s):
-                np.matmul(A, x_j, out=s_j)
-            _sigmoid(s, out=s)
-            for s_j, g_j in zip(s, G[lo:lo + rows]):
-                np.matmul(A.T, s_j, out=g_j)
-        G /= m
+        k = 1 if X.ndim == 1 else len(X)
+        P = np.zeros((-(-k // _TILE) * _TILE, self.d))
+        P[:k] = X
+        S = P @ A.T
+        _sigmoid(S[:k], out=S[:k])
+        G = np.empty_like(P)
+        for lo in range(0, len(P), _TILE):
+            np.matmul(S[lo:lo + _TILE], A, out=G[lo:lo + _TILE])
+        G = G[:k] / len(A)
         G += 2.0 * self.lam * X
-        return G
+        return G.reshape(X.shape)
 
     def sensitivity_bound(self) -> float:
         return 2.0 * self.u_max

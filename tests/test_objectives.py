@@ -1,13 +1,19 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dpaccel
 from dpaccel.harness import ExperimentConfig, build_objective
 from dpaccel.objectives import (
     _SOFTPLUS_CAP,
+    _TILE,
     _VALUES_BLOCK,
     Dataset,
     LogisticObjective,
@@ -192,12 +198,16 @@ def test_value_is_first_row_of_values():
 
 
 def unfolded_gradient(data, lam, x, idx):
-    """The mean gradient from U and z, with the margins' signs applied as
-    passes of their own: z * (U @ x) and -(U.T @ w) / m."""
+    """The mean gradient from U and z on one zero-padded tile with x in row
+    0, with the margins' signs applied as passes of their own: z * (P @ U.T)
+    and -(W @ U) / m."""
     U, z = (data.U, data.z) if idx is None else (data.U[idx], data.z[idx])
-    s = z * (U @ x)
-    w = z * _sigmoid(-s)
-    return -(U.T @ w) / len(z) + 2.0 * lam * x
+    P = np.zeros((_TILE, len(x)))
+    P[0] = x
+    s = z * (P @ U.T)
+    W = np.zeros_like(s)
+    W[0] = z * _sigmoid(-s[0])
+    return -(W @ U)[0] / len(z) + 2.0 * lam * x
 
 
 def unfolded_values(data, lam, X):
@@ -240,18 +250,45 @@ def test_label_fold_is_bitwise_the_unfolded_formulas(n):
 @pytest.mark.parametrize("m", [1000, 10_000])
 def test_block_gradient_rows_are_one_point_calls(m):
     # the desk objective at m < n and at m = n: each row of a (k, d) block,
-    # at any position in the block, has the bits of the 1-d call at that row
+    # at any position in the block, has the bits of the 1-d call at that row.
+    # The k cross tile boundaries and, at m = 1000, the row count where
+    # OpenBLAS leaves its small-matrix kernel.
     obj = build_objective(ExperimentConfig())
     rng = np.random.default_rng(m)
     idx = rng.choice(obj.n, m, replace=False) if m < obj.n else None
-    points = rng.normal(size=(24, obj.d)) * np.logspace(-2, 1, 24)[:, None]
+    points = rng.normal(size=(56, obj.d)) * np.logspace(-2, 1, 56)[:, None]
     for shift in (0, 5, 17):
         X = np.roll(points, shift, axis=0)
         ones = np.array([obj.minibatch_gradient(x, idx) for x in X])
-        for k in (1, 2, 7, 24):
+        for k in (1, 2, 7, 8, 9, 24, 48, 56):
             block = obj.minibatch_gradient(X[:k], idx)
             assert block.shape == (k, obj.d)
             assert block.tobytes() == ones[:k].tobytes(), (shift, k)
+
+
+def test_block_gradient_and_values_bytes_ignore_blas_threads():
+    # at n = 10^5 one and two BLAS threads give the same block-gradient and
+    # values bytes, at m < n and at m = n (full_gradient's GEMVs, and so
+    # fstar, still depend on the thread count)
+    src = str(Path(dpaccel.__file__).resolve().parents[1])
+    code = ("import hashlib, numpy as np\n"
+            "from dpaccel.harness import ExperimentConfig, build_objective\n"
+            "obj = build_objective(ExperimentConfig(n=100_000))\n"
+            "rng = np.random.default_rng(0)\n"
+            "X = rng.normal(size=(24, obj.d))\n"
+            "h = hashlib.sha256(obj.values(X).tobytes())\n"
+            "for idx in (rng.choice(obj.n, 10_000, replace=False), None):\n"
+            "    for k in (1, 24):\n"
+            "        h.update(obj.minibatch_gradient(X[:k], idx).tobytes())\n"
+            "print(h.hexdigest())")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True, timeout=300)
+        digests.append(done.stdout)
+    assert digests[0] == digests[1]
 
 
 def test_logistic_gradient_finite_differences():
